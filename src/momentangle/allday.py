@@ -66,6 +66,18 @@ class DGAModel:
     generators: tuple  # index tuples, sorted by (length, lex)
     differential: dict = field(compare=False)
 
+    def __post_init__(self):
+        # Per-letter data for d_word, computed once: the degree parity of
+        # each generator and the terms of each nonzero differential.
+        object.__setattr__(
+            self, "_odd", {I: self.degree_of(I) % 2 == 1 for I in self.generators}
+        )
+        object.__setattr__(
+            self,
+            "_d_terms",
+            {I: tuple(dg.items()) for I, dg in self.differential.items() if dg},
+        )
+
     @property
     def n(self):
         return len(self.dims)
@@ -79,16 +91,17 @@ class DGAModel:
     def d_word(self, word):
         """Derivation extension: d(xy) = d(x)y + (-1)^|x| x d(y)."""
         total = TensorElement.zero()
-        prefix_deg = 0
+        odd = False
         for pos, letter in enumerate(word):
-            dg = self.differential[letter]
-            if dg:
-                sign = 1 if prefix_deg % 2 == 0 else -1
+            terms = self._d_terms.get(letter)
+            if terms:
+                sign = -1 if odd else 1
                 prefix = word[:pos]
                 suffix = word[pos + 1 :]
-                for dword, coeff in dg.items():
+                for dword, coeff in terms:
                     total.add_term(prefix + dword + suffix, sign * coeff)
-            prefix_deg += self.degree_of(letter)
+            if self._odd[letter]:
+                odd = not odd
         return total
 
     def d_element(self, element):
@@ -127,7 +140,7 @@ def _subsets(n, include_full):
     return tuple(out)
 
 
-def build_fat_wedge_model(dims, cutoff=None):
+def build_fat_wedge_model(dims):
     """Model of the fat wedge: generators for all nonempty proper index sets."""
     dims = _validate_dims(dims)
     gens = _subsets(len(dims), include_full=False)
@@ -138,7 +151,7 @@ def build_fat_wedge_model(dims, cutoff=None):
     return DGAModel(dims=dims, generators=gens, differential=diff)
 
 
-def build_product_model(dims, cutoff=None):
+def build_product_model(dims):
     """Fat-wedge model plus the top generator, whose differential attaches
     the top cell of the product."""
     dims = _validate_dims(dims)
@@ -232,7 +245,10 @@ def homology_series(model, max_degree):
             if target is None:
                 ranks[r] = 0
                 continue
-            index = {w: i for i, w in enumerate(target)}
+            # The kernel pivots on the smallest column; numbering the target
+            # backwards makes that the last word in enumeration order, which
+            # keeps elimination chains short on these depth-first lists.
+            index = {w: -i for i, w in enumerate(target)}
             rows = []
             for w in words:
                 image = model.d_word(w)

@@ -72,6 +72,17 @@ def _parse_dims(text, n=None):
     return dims
 
 
+def _nonnegative_int(text):
+    """argparse type for degree and dimension bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(doc, text_lines, as_json):
     if as_json:
         print(json.dumps(doc, indent=2))
@@ -290,14 +301,14 @@ def build_parser():
     common(p)
     p.add_argument("--target", choices=("cp", "spheres"), default="cp")
     p.add_argument("--dims", help="comma-separated sphere parameters m_i")
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("loop-homology", help="presentation and graded dimensions")
     common(p)
     p.add_argument("--target", choices=("cp", "spheres"), default="cp")
     p.add_argument("--dims", help="comma-separated sphere parameters m_i")
-    p.add_argument("--max-degree", type=int, default=10)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=10)
     p.add_argument("--convention", choices=("exterior-on-odd", "polynomial-all"),
                    default="exterior-on-odd")
     p.set_defaults(func=cmd_loop_homology)
@@ -306,7 +317,7 @@ def build_parser():
     common(p, input_file=False)
     p.add_argument("--dims", required=True, help="comma-separated sphere parameters m_i")
     p.add_argument("--model", choices=("fat-wedge", "product"), default="fat-wedge")
-    p.add_argument("--max-degree", type=int, default=10)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=10)
     p.add_argument("--check-bubenik", action="store_true",
                    help="compare homology with the closed-form series")
     p.add_argument("--convention", choices=("exterior-on-odd", "polynomial-all"),
@@ -319,14 +330,14 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--target", choices=("cp", "spheres"), default="cp")
     p.add_argument("--dims", help="comma-separated sphere parameters m_i")
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_porter)
 
     p = sub.add_parser("check", help="cross-route consistency report")
     common(p)
     p.add_argument("--target", choices=("cp", "spheres"), default="cp")
     p.add_argument("--dims", help="comma-separated sphere parameters m_i")
-    p.add_argument("--max-dim", type=int, default=8)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=8)
     p.set_defaults(func=cmd_check)
 
     return parser

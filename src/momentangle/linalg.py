@@ -1,8 +1,16 @@
 """Sparse exact linear algebra over the integers.
 
-Rank computation by fraction-free elimination: rows stay integer, every
-combination is divided by its gcd, so there is no coefficient blow-up from
-rational arithmetic and results are exact.
+Rank computation by fraction-free elimination.  Rows are dicts
+{column: int}; each row is reduced against the pivots found so far, the
+pivot column of a row being its smallest column index.  A caller that
+knows a good elimination order for its matrix expresses it through the
+column numbering.
+
+A pivot with entry ±1 is subtracted from the row in place: no scaling is
+needed, so entries stay integers without any gcd step.  A pivot with any
+other entry scales the row by pivot/gcd and divides the result by the gcd
+of its entries, so there is no coefficient blow-up from rational
+arithmetic.  Every row stored as a pivot is normalized; results are exact.
 """
 
 from __future__ import annotations
@@ -40,24 +48,37 @@ class IncrementalRank:
         self.rank = 0
 
     def add(self, row):
-        """Reduce ``row`` ({column: value}); return True if the rank grew."""
+        """Reduce ``row`` ({column: value}); return True if the rank grew.
+
+        The caller's dict is not modified.
+        """
         row = {c: v for c, v in row.items() if v}
+        pivots = self.pivots
         while row:
             col = min(row)
-            pivot = self.pivots.get(col)
+            pivot = pivots.get(col)
             if pivot is None:
-                self.pivots[col] = _normalize(row)
+                pivots[col] = _normalize(row)
                 self.rank += 1
                 return True
             a = pivot[col]
             b = row[col]
-            new = {}
-            for c, v in row.items():
-                new[c] = v * a
+            if a == 1 or a == -1:
+                f = a * b  # row - (b/a)·pivot, and 1/a == a
+                for c, v in pivot.items():
+                    nv = row.get(c, 0) - f * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+                continue
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            new = {c: v * a for c, v in row.items()}
             for c, v in pivot.items():
                 new[c] = new.get(c, 0) - v * b
-            row = {c: v for c, v in new.items() if v}
-            _normalize(row)
+            row = _normalize({c: v for c, v in new.items() if v})
         return False
 
 

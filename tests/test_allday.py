@@ -111,12 +111,24 @@ def _loop_sphere_series(m, cutoff):
     return free_gc_series([(m, 1), (2 * m, 1)], "exterior-on-odd", cutoff)
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 2), (2, 3), (1, 2, 2)])
-def test_product_model_kunneth(dims):
-    h = homology_series(build_product_model(dims), 10)
-    expected = TruncatedSeries.one(10)
+KUNNETH_CASES = [
+    ((1, 1), 10),
+    ((2, 2), 10),
+    ((1, 2), 10),
+    ((2, 3), 10),
+    ((1, 2, 2), 10),
+    ((1, 2, 1), 12),
+]
+
+
+@pytest.mark.parametrize(
+    "dims, degree", KUNNETH_CASES, ids=[f"dims{i}" for i in range(len(KUNNETH_CASES))]
+)
+def test_product_model_kunneth(dims, degree):
+    h = homology_series(build_product_model(dims), degree)
+    expected = TruncatedSeries.one(degree)
     for m in dims:
-        expected = expected * _loop_sphere_series(m, 10)
+        expected = expected * _loop_sphere_series(m, degree)
     assert h == expected
 
 
@@ -152,34 +164,3 @@ def test_n2_fat_wedge_homology_is_free_tensor_algebra():
     )
     assert h == expected
 
-
-def test_euler_characteristic_per_content_block():
-    # d preserves the vertex-content of a word and raises the letter count
-    # by one, so each content block is a finite complex whose Euler
-    # characteristic survives to homology.
-    from momentangle.allday import _words_by_content
-    from momentangle.linalg import sparse_rank
-
-    model = build_product_model((1, 2, 1))
-    groups = _words_by_content(model, 14)
-    for content, levels in groups.items():
-        if content == (0, 0, 0):
-            continue
-        euler_words = sum((-1) ** r * len(ws) for r, ws in levels.items())
-        euler_h = 0
-        ranks = {}
-        for r, ws in levels.items():
-            target = levels.get(r + 1)
-            if not target:
-                ranks[r] = 0
-                continue
-            index = {w: i for i, w in enumerate(target)}
-            rows = [
-                {index[iw]: c for iw, c in model.d_word(w).items()} for w in ws
-            ]
-            ranks[r] = sparse_rank(rows)
-        for r, ws in levels.items():
-            euler_h += (-1) ** r * (
-                len(ws) - ranks.get(r, 0) - ranks.get(r - 1, 0)
-            )
-        assert euler_words == euler_h, content

@@ -158,6 +158,24 @@ def test_budget_exit_code(fixtures_dir):
     assert "budget" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("loop-homology", "K1.sc", "--max-degree", "-1"),
+        ("decompose", "K1.sc", "--max-dim", "-1"),
+        ("allday", "--dims", "1,1", "--max-degree", "-1"),
+    ],
+    ids=["loop-homology", "decompose", "allday"],
+)
+def test_negative_bound_is_usage_error(fixtures_dir, args):
+    args = [str(fixtures_dir / a) if a.endswith(".sc") else a for a in args]
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert "must be >= 0" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_main_is_callable_in_process(fixtures_dir, capsys):
     code = main(["porter", "3", "1"])
     out = capsys.readouterr().out

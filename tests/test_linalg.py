@@ -1,0 +1,90 @@
+import copy
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from momentangle.linalg import IncrementalRank, sparse_rank
+
+
+def dense_rank(rows):
+    """Rank by Gaussian elimination over the rationals on a dense copy."""
+    cols = sorted({c for row in rows for c in row})
+    m = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][j]:
+                f = m[i][j] / m[rank][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+# Negative columns included: callers may number columns in either direction.
+columns = st.integers(min_value=-3, max_value=4)
+
+
+def matrices(values):
+    """Lists of sparse rows, with empty rows and repeated or scaled rows."""
+    row = st.dictionaries(columns, values, max_size=6)
+
+    @st.composite
+    def build(draw):
+        rows = draw(st.lists(row, max_size=8))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            if not rows:
+                break
+            src = draw(st.sampled_from(rows))
+            k = draw(st.sampled_from([1, -1, 2, -3]))
+            rows.insert(draw(st.integers(0, len(rows))), {c: k * v for c, v in src.items()})
+        return rows
+
+    return build()
+
+
+mixed_entries = st.integers(min_value=-5, max_value=5)  # zeros stored explicitly too
+non_unit_entries = st.sampled_from([-6, -4, -3, -2, 2, 3, 4, 6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(mixed_entries))
+def test_sparse_rank_matches_dense_reference(rows):
+    assert sparse_rank(rows) == dense_rank(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(non_unit_entries))
+def test_sparse_rank_non_unit_pivots(rows):
+    # No entry is +-1, so every first pivot takes the gcd-and-scale path.
+    assert sparse_rank(rows) == dense_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(mixed_entries), matrices(non_unit_entries)))
+def test_add_reports_growth_and_keeps_caller_row(rows):
+    acc = IncrementalRank()
+    for i, row in enumerate(rows):
+        before = copy.deepcopy(row)
+        grew = acc.add(row)
+        assert row == before
+        assert grew == (dense_rank(rows[: i + 1]) > dense_rank(rows[:i]))
+        assert acc.rank == dense_rank(rows[: i + 1])
+    for col, pivot in acc.pivots.items():
+        assert min(pivot) == col
+        g = 0
+        for v in pivot.values():
+            g = gcd(g, v)
+        assert abs(g) == 1
+
+
+def test_non_unit_pivot_examples():
+    assert sparse_rank([{0: 2, 1: 3}, {0: 4, 1: 5}]) == 2
+    assert sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
+    assert sparse_rank([{0: 4, 2: 6}, {0: 6, 1: 3}, {1: 3, 2: -9}]) == 2
+    assert sparse_rank([{}, {5: 0}, {1: 0, 2: 0}]) == 0
