@@ -192,13 +192,6 @@ def _derived_u_element(sigma, p):
     )
 
 
-def _bracket_element(sigma, js, p):
-    el = _derived_u_element(sigma, p)
-    for j in js:
-        el = commutator(el, TensorElement.term((b_name(j),)), p.degree_of)
-    return el
-
-
 def _integer_row(nf, index):
     """Map a normal form to a sparse integer row over the word index."""
     denom = 1
@@ -212,18 +205,39 @@ def _integer_row(nf, index):
     return row
 
 
-def _small_sigma_candidates(K, p, rs, small, candidate_js, g, ab_counts, max_dim):
+def _bracket_normal_forms(sigma, candidates, p, rs):
+    """Yield (js, dimension, NF([w_sigma, b_j1, ..., b_jl])) per candidate.
+
+    ``candidates`` yields (js, dimension) pairs, each js after its parent
+    js[:-1].  The normal form of [x, b_j] is that of [NF(x), b_j], because
+    the ideal is two-sided and the completion is confluent through the
+    bracket's degree; so each bracket is reduced from its parent's normal
+    form, starting from the unreduced [b_i1, b_i2].
+    """
+    nfs = {(): _derived_u_element(sigma, p)}
+    for js, dim in candidates:
+        parent = nfs[js[:-1]]
+        if parent.is_zero():
+            nf = parent
+        else:
+            b = TensorElement.term((b_name(js[-1]),))
+            nf = rs.normal_form(commutator(parent, b, p.degree_of))
+        nfs[js] = nf
+        yield js, dim, nf
+
+
+def _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts):
     """Select independent part-(c) brackets against the series counts.
 
     ``candidate_js(sigma)`` yields (js, dimension) pairs in deterministic
-    order.  Returns (selected summands, rejected candidates).
+    order, each js after its parent js[:-1].  Returns (selected summands,
+    rejected candidates).
     """
     by_dim = {}
     rejected = []
     for sigma in small:
-        for js, dim in candidate_js(sigma):
+        for js, dim, nf in _bracket_normal_forms(sigma, candidate_js(sigma), p, rs):
             label = WhiteheadLabel("iterated", sigma, js)
-            nf = rs.normal_form(_bracket_element(sigma, js, p))
             if nf.is_zero():
                 rejected.append((label, "zero normal form"))
                 continue
@@ -343,6 +357,7 @@ def decompose_cp(K, max_dim=None, budget_words=2_000_000):
         ab_counts[s.dimension] = ab_counts.get(s.dimension, 0) + 1
 
     def candidate_js(sigma):
+        # Shorter lists first, so every js follows its parent js[:-1].
         comp = j_complement(sigma, K.n)
         for l in range(1, len(comp) + 1):
             for js in itertools.combinations(comp, l):
@@ -350,9 +365,7 @@ def decompose_cp(K, max_dim=None, budget_words=2_000_000):
                 if dim <= max_dim:
                     yield js, dim
 
-    selected, rejected = _small_sigma_candidates(
-        K, p, rs, small, candidate_js, g, ab_counts, max_dim
-    )
+    selected, rejected = _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts)
 
     k = detect_skeleton(K)
     porter_counts = None
@@ -396,6 +409,7 @@ def decompose_spheres(K, dims, max_dim, convention="polynomial-all",
     ]
 
     def multisets(base):
+        # Depth first, so every js follows its parent js[:-1].
         def grow(js, dim, start):
             for j in range(start, K.n + 1):
                 nd = dim + dims[j - 1]
@@ -424,9 +438,7 @@ def decompose_spheres(K, dims, max_dim, convention="polynomial-all",
     def candidate_js(sigma):
         yield from multisets(t_sigma(sigma))
 
-    selected, rejected = _small_sigma_candidates(
-        K, p, rs, small, candidate_js, g, ab_counts, max_dim
-    )
+    selected, rejected = _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts)
 
     k = detect_skeleton(K)
     porter_counts = None

@@ -143,34 +143,58 @@ class RewritingSystem:
 
         A word is normal when it contains no forbidden factor; normal words
         form a basis of the quotient in degrees ≤ the completion bound.
+
+        The count runs degree by degree over suffix states: the state of a
+        normal word is its longest suffix that is a proper prefix of a
+        forbidden word, and appending a letter is forbidden exactly when a
+        suffix of state + letter is a forbidden word.  Transitions are found
+        on first use.
         """
         cap = self.max_degree if max_degree is None else max_degree
         if cap > self.max_degree:
             raise RewritingError(
                 f"series degree {cap} exceeds completion bound {self.max_degree}"
             )
-        letters = sorted(self.degree, key=self.rank.__getitem__)
-        counts = [0] * (cap + 1)
-        counts[0] = 1
         rules = self.rules
         lengths = self._lengths
+        prefixes = {L[:k] for L in rules for k in range(len(L))}
+        prefixes.add(())  # the empty word is a state even without rules
+        letters = sorted(self.degree.items(), key=lambda item: item[1])
         budget = self.budget_words
-        total = 1
 
-        def extend(word, deg):
-            nonlocal total
-            for x in letters:
-                nd = deg + self.degree[x]
-                if nd > cap:
-                    continue
-                nw = word + (x,)
-                if any(len(nw) >= L and nw[-L:] in rules for L in lengths):
-                    continue
-                counts[nd] += 1
-                total += 1
-                if total > budget:
-                    raise BudgetError(nd, f"normal-word budget {budget} exhausted")
-                extend(nw, nd)
+        def step(state, x):
+            """State after appending ``x``, or None if that is forbidden."""
+            word = state + (x,)
+            if any(len(word) >= L and word[-L:] in rules for L in lengths):
+                return None
+            for i in range(len(word) + 1):
+                if word[i:] in prefixes:
+                    return word[i:]
 
-        extend((), 0)
+        moves = {}  # state -> {letter: next state or None}
+        layers = [{} for _ in range(cap + 1)]  # degree -> {state: word count}
+        layers[0][()] = 1
+        counts = [0] * (cap + 1)
+        total = 0
+        for deg in range(cap + 1):
+            layer, layers[deg] = layers[deg], None
+            counts[deg] = sum(layer.values())
+            total += counts[deg]
+            if total > budget:
+                raise BudgetError(deg, f"normal-word budget {budget} exhausted")
+            for state, n in layer.items():
+                row = moves.get(state)
+                if row is None:
+                    row = moves[state] = {}
+                for x, dx in letters:
+                    nd = deg + dx
+                    if nd > cap:
+                        break
+                    if x in row:
+                        nxt = row[x]
+                    else:
+                        nxt = row[x] = step(state, x)
+                    if nxt is not None:
+                        target = layers[nd]
+                        target[nxt] = target.get(nxt, 0) + n
         return counts

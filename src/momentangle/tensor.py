@@ -25,7 +25,6 @@ class TensorElement(dict):
     def add_term(self, word, coeff):
         if not coeff:
             return
-        word = tuple(word)
         new = self.get(word, 0) + coeff
         if new:
             self[word] = new

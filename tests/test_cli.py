@@ -95,6 +95,17 @@ def test_loop_homology_json(fixtures_dir):
     assert doc["kernel_generator_series"] == [0, 0, 1, 0, 2, 2]
 
 
+def test_loop_homology_deep_degree(fixtures_dir, capsys):
+    # Two vertices and no edge: the normal words alternate b1, b2, so the
+    # count reaches degree 1100 without a recursion 1100 calls deep.
+    code = main(["loop-homology", str(fixtures_dir / "pair.sc"),
+                 "--max-degree", "1100", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["graded_dimensions"] == [1] + [2] * 1100
+    assert doc["kernel_generator_series"] == [0, 0, 1] + [0] * 1098
+
+
 def test_allday_check_bubenik():
     res = run_cli("allday", "--dims", "2,2,2", "--check-bubenik", "--max-degree", "8")
     assert res.returncode == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from momentangle import decompose
 from momentangle.complexes import ComplexError, SimplicialComplex, skeleton_complex
 from momentangle.decompose import (
     WhiteheadLabel,
@@ -9,6 +10,8 @@ from momentangle.decompose import (
     detect_skeleton,
     porter_fnk,
 )
+from momentangle.presentations import b_name
+from momentangle.tensor import TensorElement, commutator
 
 
 def label_texts(dec, target):
@@ -232,3 +235,47 @@ def test_json_schema_and_determinism(K1):
         "provenance": "enumeration",
     }
     assert a["flags"] == []
+
+
+@pytest.mark.parametrize(
+    "name,target,dims,max_dim",
+    [
+        ("K1", "cp", None, None),
+        ("K3", "cp", None, None),
+        ("K1", "spheres", (1, 1, 1, 1), 10),
+        ("K1", "spheres", (1, 2, 1, 2), 10),
+        ("K3", "spheres", (1, 1, 1, 1, 1), 8),
+        ("pair", "spheres", (1, 1), 8),
+    ],
+)
+def test_bracket_normal_forms_match_full_expansion(name, target, dims, max_dim,
+                                                   request, monkeypatch):
+    # Every part-(c) bracket is reduced from its parent's normal form; the
+    # reference expands the whole iterated commutator and reduces it once.
+    if name == "pair":
+        K = SimplicialComplex.from_faces(2, [])
+    else:
+        K = request.getfixturevalue(name)
+    recorded = []
+    incremental = decompose._bracket_normal_forms
+
+    def recording(sigma, candidates, p, rs):
+        for js, dim, nf in incremental(sigma, candidates, p, rs):
+            recorded.append((sigma, js, nf, p, rs))
+            yield js, dim, nf
+
+    monkeypatch.setattr(decompose, "_bracket_normal_forms", recording)
+    if target == "cp":
+        decompose_cp(K, max_dim)
+    else:
+        decompose_spheres(K, dims, max_dim)
+    assert recorded
+    for sigma, js, nf, p, rs in recorded:
+        el = commutator(
+            TensorElement.term((b_name(sigma[0]),)),
+            TensorElement.term((b_name(sigma[1]),)),
+            p.degree_of,
+        )
+        for j in js:
+            el = commutator(el, TensorElement.term((b_name(j),)), p.degree_of)
+        assert nf == rs.normal_form(el), (sigma, js)

@@ -1,0 +1,49 @@
+"""Byte-identity of CLI reports against outputs recorded in ``tests/golden``.
+
+Each case runs ``momentangle.cli.main`` in process and compares its exit
+code and the exact text it prints on stdout with the recorded file.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from momentangle.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+SPHERES = ("--target", "spheres")
+
+# (golden file name, expected exit code, subcommand, fixture, further arguments)
+CASES = [
+    *(
+        (f"decompose_{name}{suffix}", code, "decompose", f"{name}.sc", extra)
+        for name, code in (("K1", 0), ("K3", 0), ("tri", 0), ("skel42", 1))
+        for suffix, extra in ((".txt", ()), (".json", ("--json",)))
+    ),
+    ("decompose_spheres_K1_1111.txt", 0, "decompose", "K1.sc",
+     (*SPHERES, "--dims", "1,1,1,1", "--max-dim", "10")),
+    ("decompose_spheres_K3_11111.txt", 0, "decompose", "K3.sc",
+     (*SPHERES, "--dims", "1,1,1,1,1", "--max-dim", "8")),
+    ("decompose_spheres_pair_11.txt", 0, "decompose", "pair.sc",
+     (*SPHERES, "--dims", "1,1", "--max-dim", "6")),
+    ("check_skel42.txt", 1, "check", "skel42.sc", ()),
+    ("loop_homology_K3.txt", 0, "loop-homology", "K3.sc", ("--max-degree", "11")),
+]
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,code,sub,fixture,extra", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(name, code, sub, fixture, extra):
+    got_code, got = run([sub, str(FIXTURES / fixture), *extra])
+    assert got_code == code
+    assert got == (GOLDEN / name).read_text()
