@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .allday import (
@@ -83,14 +84,6 @@ def _nonnegative_int(text):
     return value
 
 
-def _emit(doc, text_lines, as_json):
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _wedge_text(dec):
     counts = dec.counts()
     if not counts:
@@ -149,8 +142,7 @@ def cmd_analyze(args):
         lines.append("shifted(any): yes (ordering " + " ".join(map(str, ordering)) + ")")
     else:
         lines.append("shifted(any): no")
-    _emit(doc, lines, args.json)
-    return EXIT_OK
+    return EXIT_OK, doc, lines
 
 
 def cmd_decompose(args):
@@ -162,8 +154,8 @@ def cmd_decompose(args):
             raise ComplexError("sphere target requires --dims and --max-dim")
         dims = _parse_dims(args.dims, K.n)
         dec = decompose_spheres(K, dims, args.max_dim, budget_words=args.budget_words)
-    _emit(dec.to_json_dict(K), _decomposition_lines(dec, args.target), args.json)
-    return EXIT_FLAGGED if dec.flags else EXIT_OK
+    code = EXIT_FLAGGED if dec.flags else EXIT_OK
+    return code, dec.to_json_dict(K), _decomposition_lines(dec, args.target)
 
 
 def _relation_text(rel):
@@ -210,8 +202,7 @@ def cmd_loop_homology(args):
         doc["kernel_generator_series"] = None
         doc["factorization_error"] = {"degree": exc.degree, "message": str(exc)}
         code = EXIT_FLAGGED
-    _emit(doc, lines, args.json)
-    return code
+    return code, doc, lines
 
 
 def cmd_allday(args):
@@ -234,8 +225,7 @@ def cmd_allday(args):
     code = EXIT_OK
     if not ok:
         doc["witness"] = [list(w) for w in witness]
-        _emit(doc, lines, args.json)
-        return EXIT_FLAGGED
+        return EXIT_FLAGGED, doc, lines
     h = homology_series(model, D)
     lines.append(f"homology series (degrees 0..{D}): {_series_text(h)}")
     doc["homology_series"] = list(h.coeffs)
@@ -248,15 +238,13 @@ def cmd_allday(args):
         doc["bubenik_agrees"] = agree
         if not agree:
             code = EXIT_FLAGGED
-    _emit(doc, lines, args.json)
-    return code
+    return code, doc, lines
 
 
 def cmd_porter(args):
     dims = _parse_dims(args.dims, args.n) if args.dims is not None else None
     dec = porter_fnk(args.n, args.k, target=args.target, dims=dims, max_dim=args.max_dim)
-    _emit(dec.to_json_dict(), _decomposition_lines(dec, args.target), args.json)
-    return EXIT_OK
+    return EXIT_OK, dec.to_json_dict(), _decomposition_lines(dec, args.target)
 
 
 def cmd_check(args):
@@ -272,8 +260,7 @@ def cmd_check(args):
         lines.append(f"dim {dim}: {cells} -> {verdict}")
     mismatched = any(v == "mismatch" for _, v in report.verdicts)
     lines.append("verdict: " + ("mismatch" if mismatched else "all routes agree"))
-    _emit(report.to_json_dict(), lines, args.json)
-    return EXIT_FLAGGED if mismatched else EXIT_OK
+    return (EXIT_FLAGGED if mismatched else EXIT_OK), report.to_json_dict(), lines
 
 
 def build_parser():
@@ -347,7 +334,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -360,6 +347,21 @@ def main(argv=None):
     except (ComplexError, PresentationError, ModelError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    try:
+        if args.json:
+            print(json.dumps(doc, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``... | head``).  Point stdout at
+        # devnull, as the ``signal`` module docs advise, so that the flush at
+        # interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -260,7 +260,7 @@ def _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts):
     return selected, rejected
 
 
-def _assemble(K, target, dims, max_dim, truncated, summands, selected,
+def _assemble(target, dims, max_dim, truncated, summands, selected,
               g, rejected, porter_counts, james_counts):
     enum_counts = {}
     for s in list(summands) + list(selected):
@@ -375,7 +375,7 @@ def decompose_cp(K, max_dim=None, budget_words=2_000_000):
     james = None
     if len(mfs) == 1:
         james = {2 * len(mfs[0]) - 1: 1}
-    return _assemble(K, "cp", None, max_dim, truncated, summands, selected,
+    return _assemble("cp", None, max_dim, truncated, summands, selected,
                      g, rejected, porter_counts, james)
 
 
@@ -449,7 +449,7 @@ def decompose_spheres(K, dims, max_dim, convention="polynomial-all",
     if len(mfs) == 1:
         sigma = mfs[0]
         james = _james_counts(len(sigma) - 1, [dims[i - 1] for i in sigma], max_dim)
-    return _assemble(K, "spheres", dims, max_dim, True, summands, selected,
+    return _assemble("spheres", dims, max_dim, True, summands, selected,
                      g, rejected, porter_counts, james)
 
 

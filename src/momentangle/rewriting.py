@@ -3,15 +3,22 @@
 Relations are homogeneous elements of a free associative algebra on graded
 generators.  Words are ordered by total degree, then lexicographically by
 generator rank (later generators are larger).  The leading word of each
-relation becomes a forbidden factor with a rewrite to lower terms; overlap
-and inclusion ambiguities between forbidden words are resolved up to a
-degree bound, which is sound for counting purposes because homogeneity
-confines every consequence above the bound to degrees above the bound.
+relation becomes a forbidden factor with a rewrite to lower terms.
+
+Completion is Bergman's diamond lemma under Buchberger's normal selection
+strategy: pending work is processed degree by degree.  Every overlap of two
+forbidden words has a degree above both, so when an element of degree d is
+reduced, every rule of degree below d is already present, its leading word
+is normal, and, having the largest degree so far, that word cannot be a
+proper factor of an earlier forbidden word.  Inclusion ambiguities therefore
+never arise, and the forbidden words are the unique minimal set for the word
+order.  Overlap ambiguities are resolved up to a degree bound, which is
+sound for counting purposes because homogeneity confines every consequence
+above the bound to degrees above the bound.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
 from .tensor import TensorElement
@@ -37,6 +44,13 @@ class RewritingSystem:
     listing order fixes the ranks used by the word order.  ``relations``
     are :class:`TensorElement` instances over words in the generator
     names.
+
+    Completion keeps one bucket of pending work per degree up to
+    ``max_degree``: the input relations, and the overlaps ``(u, v, k)``
+    (the last ``k`` letters of forbidden word ``u`` are the first ``k`` of
+    ``v``) whose S-polynomials are built only when their degree comes up.
+    Overlaps of a new forbidden word are looked up in indexes of the proper
+    prefixes and proper suffixes of the earlier ones.
     """
 
     def __init__(self, generators, relations, max_degree, budget_words=2_000_000):
@@ -53,7 +67,9 @@ class RewritingSystem:
         self.budget_words = budget_words
         self.rules = {}  # forbidden word -> equivalent lower element
         self._lengths = ()
-        queue = deque()
+        self._by_prefix = {}  # proper prefix -> forbidden words starting with it
+        self._by_suffix = {}  # proper suffix -> forbidden words ending with it
+        pending = [[] for _ in range(max_degree + 1)]  # degree -> work items
         for rel in relations:
             el = TensorElement()
             for word, coeff in rel.items():
@@ -64,9 +80,19 @@ class RewritingSystem:
             degrees = el.degrees(self.degree.__getitem__)
             if len(degrees) > 1:
                 raise RewritingError(f"relation not homogeneous: degrees {sorted(degrees)}")
-            queue.append(el)
-        while queue:
-            self._add_rule(queue.popleft(), queue)
+            if degrees and (deg := degrees.pop()) <= max_degree:
+                pending[deg].append(el)
+        for deg, bucket in enumerate(pending):
+            # New rules only queue overlaps of higher degree, so this bucket
+            # is complete here.
+            for item in bucket:
+                if isinstance(item, tuple):
+                    u, v, k = item
+                    item = self.rules[u] * TensorElement.term(v[k:]) - TensorElement.term(
+                        u[:-k]
+                    ) * self.rules[v]
+                self._add_rule(item, pending)
+            pending[deg] = None
 
     def word_degree(self, word):
         return sum(self.degree[x] for x in word)
@@ -100,43 +126,30 @@ class RewritingSystem:
                 stack.append((word[:i] + tw + word[i + length :], coeff * tc))
         return result
 
-    def _add_rule(self, element, queue):
+    def _add_rule(self, element, pending):
+        """Reduce ``element``; if it survives, make its leading word a rule
+        and queue that word's overlaps within the degree bound."""
         nf = self.normal_form(element)
         if nf.is_zero():
             return
         lead = max(nf, key=self._key)
-        if self.word_degree(lead) > self.max_degree:
-            return
         c = nf[lead]
-        tail = TensorElement({w: -v / c for w, v in nf.items() if w != lead})
-        # Inclusion ambiguities: retire any rule whose forbidden word
-        # contains the new one, and requeue its content.
-        doomed = [
-            L
-            for L in self.rules
-            if len(L) > len(lead)
-            and any(L[i : i + len(lead)] == lead for i in range(len(L) - len(lead) + 1))
-        ]
-        for L in doomed:
-            old = self.rules.pop(L)
-            queue.append(TensorElement.term(L) - old)
-        self.rules[lead] = tail
-        self._lengths = tuple(sorted({len(L) for L in self.rules}))
-        # Overlap ambiguities with every current rule (including itself).
-        for other in list(self.rules):
-            for u, v in ((lead, other), (other, lead)):
-                if u not in self.rules or v not in self.rules:
-                    continue
-                for k in range(1, min(len(u), len(v))):
-                    if u[-k:] != v[:k]:
-                        continue
-                    if self.word_degree(u) + self.word_degree(v[k:]) > self.max_degree:
-                        continue
-                    s = self.rules[u] * TensorElement.term(v[k:]) - TensorElement.term(
-                        u[:-k]
-                    ) * self.rules[v]
-                    if not s.is_zero():
-                        queue.append(s)
+        self.rules[lead] = TensorElement({w: -v / c for w, v in nf.items() if w != lead})
+        if len(lead) not in self._lengths:
+            self._lengths = tuple(sorted(self._lengths + (len(lead),)))
+        top = self.max_degree
+        for k in range(1, len(lead)):
+            # lead's prefix of length k is indexed before the lookups and its
+            # suffix of length k after them, so each self-overlap is found
+            # once, as lead·v[k:] with v = lead.
+            self._by_prefix.setdefault(lead[:k], []).append(lead)
+            overlaps = [(lead, v) for v in self._by_prefix.get(lead[-k:], ())]
+            overlaps += [(u, lead) for u in self._by_suffix.get(lead[:k], ())]
+            self._by_suffix.setdefault(lead[-k:], []).append(lead)
+            for u, v in overlaps:
+                deg = self.word_degree(u) + self.word_degree(v[k:])
+                if deg <= top:
+                    pending[deg].append((u, v, k))
 
     def series(self, max_degree=None):
         """Counts of normal words per degree, as a list indexed by degree.
@@ -157,8 +170,8 @@ class RewritingSystem:
             )
         rules = self.rules
         lengths = self._lengths
-        prefixes = {L[:k] for L in rules for k in range(len(L))}
-        prefixes.add(())  # the empty word is a state even without rules
+        # the empty word is a state even without rules
+        prefixes = self._by_prefix.keys() | {()}
         letters = sorted(self.degree.items(), key=lambda item: item[1])
         budget = self.budget_words
 

@@ -126,22 +126,22 @@ def series_div_exact(numerator, denominator):
     Raises :class:`FactorizationError` at the first fractional coefficient.
     """
     a, b, cutoff = numerator._align(denominator)
-    if b.coeffs[0] == 0:
+    b0 = b.coeffs[0]
+    if b0 == 0:
         raise SeriesError("division by a series with zero constant term")
     out = []
     for d in range(cutoff + 1):
-        acc = Fraction(a.coeffs[d])
+        acc = a.coeffs[d]
         for i in range(1, d + 1):
             if b.coeffs[i]:
                 acc -= b.coeffs[i] * out[d - i]
-        q = acc / b.coeffs[0]
+        q, r = divmod(acc, b0)
+        if r:
+            raise FactorizationError(
+                d, f"non-integer quotient coefficient {Fraction(acc, b0)}"
+            )
         out.append(q)
-    ints = []
-    for d, q in enumerate(out):
-        if q.denominator != 1:
-            raise FactorizationError(d, f"non-integer quotient coefficient {q}")
-        ints.append(int(q))
-    return TruncatedSeries(cutoff=cutoff, coeffs=tuple(ints))
+    return TruncatedSeries(cutoff=cutoff, coeffs=tuple(out))
 
 
 def free_gc_series(generators, convention, cutoff):

@@ -191,3 +191,21 @@ def test_main_is_callable_in_process(fixtures_dir, capsys):
     code = main(["porter", "3", "1"])
     out = capsys.readouterr().out
     assert code == 0 and out.splitlines()[0] == "Z_K ~ S^5"
+
+
+def test_closed_pipe_keeps_exit_code_without_traceback():
+    # About 220 KB of output, more than a pipe buffer holds, so the writer is
+    # still writing when the reader closes after one line (``| head -1``).
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "momentangle", "porter", "24", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith("Z_K ~ ")
+    assert err == ""

@@ -1,9 +1,17 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from momentangle.complexes import skeleton_complex
+from momentangle.presentations import (
+    Generator,
+    Presentation,
+    build_cp_presentation,
+    graded_dimensions,
+    rewriting_system,
+)
 from momentangle.rewriting import BudgetError, RewritingSystem
 from momentangle.tensor import TensorElement
 
@@ -80,3 +88,74 @@ def test_series_deep_degree_does_not_recurse():
         1200,
     )
     assert rs.series() == [1] + [2] * 1200
+
+
+def presentation(degrees, relations):
+    generators = tuple(Generator(x, d, ("coordinate", i))
+                       for i, (x, d) in enumerate(degrees.items(), start=1))
+    return Presentation(generators, tuple(map(TensorElement, relations)),
+                        "cp-case", "exterior-on-odd")
+
+
+@st.composite
+def small_presentations(draw):
+    """(presentation, completion bound ≤ 6): 1-3 homogeneous relations of
+    2-3 terms with coefficients ±1, ±2 on 1-3 letters of degree 1-2."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    names = "abc"[:n]
+    degrees = {x: draw(st.integers(min_value=1, max_value=2)) for x in names}
+    by_degree = {}
+    for length in range(1, 5):
+        for word in itertools.product(names, repeat=length):
+            by_degree.setdefault(sum(degrees[x] for x in word), []).append(word)
+    pools = [words for d, words in sorted(by_degree.items()) if d <= 4]
+    # With one letter every homogeneous relation is a single term.
+    pools = [words for words in pools if len(words) >= 2] or pools
+    relations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pool = draw(st.sampled_from(pools))
+        words = draw(st.lists(st.sampled_from(pool), min_size=min(2, len(pool)),
+                              max_size=3, unique=True))
+        coeffs = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=len(words),
+                               max_size=len(words)))
+        relations.append(dict(zip(words, coeffs)))
+    # Written as 6 - x so that the high bounds, where most overlaps lie, are
+    # the ones drawn most often.
+    return presentation(degrees, relations), 6 - draw(st.integers(min_value=0, max_value=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_presentations())
+# Needs the self-overlap b·b·b of the rule b·b -> -a.
+@example((presentation({"a": 2, "b": 1}, [{("a",): 1, ("b", "b"): 1}]), 3))
+# Needs overlaps of an earlier rule's suffix with a later rule's prefix.
+@example((presentation({"a": 1, "b": 1}, [
+    {("b", "b", "b", "a"): 2, ("b", "b", "a", "b"): -1},
+    {("a", "a"): 2, ("a", "b"): 1},
+]), 6))
+def test_completion_of_non_monomial_relations(case):
+    p, bound = case
+    rs = rewriting_system(p, bound)
+    assert rs.series() == list(graded_dimensions(p, bound, method="linear").coeffs)
+    rules = rs.rules
+    for u in rules:
+        for v in rules:
+            if u != v:
+                assert not any(
+                    v[i : i + len(u)] == u for i in range(len(v) - len(u) + 1)
+                ), (u, v)
+            for k in range(1, min(len(u), len(v))):
+                if u[-k:] != v[:k] or rs.word_degree(u + v[k:]) > bound:
+                    continue
+                s = rules[u] * TensorElement.term(v[k:]) - TensorElement.term(
+                    u[:-k]
+                ) * rules[v]
+                assert rs.normal_form(s).is_zero(), (u, v, k)
+
+
+@pytest.mark.parametrize("n, k, bound, count", [(6, 4, 7, 231), (7, 5, 8, 658)])
+def test_skeleton_forbidden_word_count(n, k, bound, count):
+    # Counts of the minimal forbidden words, recorded before the completion
+    # was made degree-ordered; the set is unique for the word order.
+    p = build_cp_presentation(skeleton_complex(n, k))
+    assert len(rewriting_system(p, bound).rules) == count

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,44 @@ def test_series_div_exact_rejects_fractions():
     with pytest.raises(FactorizationError) as err:
         series_div_exact(S([1, 1]), S([2, 0]))
     assert err.value.degree == 0
+
+
+def fraction_quotient(a, b):
+    """Coefficients of a / b computed over the rationals."""
+    out = []
+    for d in range(len(a)):
+        acc = Fraction(a[d]) - sum(b[i] * out[d - i] for i in range(1, d + 1))
+        out.append(acc / b[0])
+    return out
+
+
+@st.composite
+def division_cases(draw):
+    """(numerator, denominator); half the numerators are exact multiples."""
+    cutoff = draw(st.integers(min_value=0, max_value=8))
+    coeff = st.integers(min_value=-5, max_value=5)
+    series = st.lists(coeff, min_size=cutoff + 1, max_size=cutoff + 1)
+    b = draw(series)
+    b[0] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    b = S(b)
+    if draw(st.booleans()):
+        return S(draw(series)) * b, b
+    return S(draw(series)), b
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_cases())
+def test_series_div_exact_matches_fraction_division(case):
+    a, b = case
+    ref = fraction_quotient(a.coeffs, b.coeffs)
+    bad = next((d for d, q in enumerate(ref) if q.denominator != 1), None)
+    if bad is None:
+        assert series_div_exact(a, b).coeffs == tuple(ref)
+    else:
+        with pytest.raises(FactorizationError) as err:
+            series_div_exact(a, b)
+        assert err.value.degree == bad
+        assert str(err.value) == f"degree {bad}: non-integer quotient coefficient {ref[bad]}"
 
 
 def test_free_gc_series_conventions():
