@@ -140,27 +140,25 @@ def _subsets(n, include_full):
     return tuple(out)
 
 
-def build_fat_wedge_model(dims):
-    """Model of the fat wedge: generators for all nonempty proper index sets."""
+def _build_model(dims, include_full):
     dims = _validate_dims(dims)
-    gens = _subsets(len(dims), include_full=False)
+    gens = _subsets(len(dims), include_full)
     diff = {
         I: (a_element(I, dims) if len(I) >= 2 else TensorElement.zero())
         for I in gens
     }
     return DGAModel(dims=dims, generators=gens, differential=diff)
+
+
+def build_fat_wedge_model(dims):
+    """Model of the fat wedge: generators for all nonempty proper index sets."""
+    return _build_model(dims, include_full=False)
 
 
 def build_product_model(dims):
     """Fat-wedge model plus the top generator, whose differential attaches
     the top cell of the product."""
-    dims = _validate_dims(dims)
-    gens = _subsets(len(dims), include_full=True)
-    diff = {
-        I: (a_element(I, dims) if len(I) >= 2 else TensorElement.zero())
-        for I in gens
-    }
-    return DGAModel(dims=dims, generators=gens, differential=diff)
+    return _build_model(dims, include_full=True)
 
 
 def check_d_squared(model, max_degree):

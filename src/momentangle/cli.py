@@ -250,17 +250,26 @@ def cmd_porter(args):
 def cmd_check(args):
     K = _read_complex(args.input)
     dims = _parse_dims(args.dims, K.n) if args.dims is not None else None
-    report = consistency_report(
+    dec = consistency_report(
         K, target=args.target, dims=dims, max_dim=args.max_dim,
         budget_words=args.budget_words,
     )
     lines = []
-    for (dim, routes), (_, verdict) in zip(report.table, report.verdicts):
+    verdicts = []
+    for dim, routes in dec.routes:
+        verdict = "mismatch" if len({c for _, c in routes}) > 1 else "agree"
+        verdicts.append({"dimension": dim, "verdict": verdict})
         cells = " ".join(f"{name}={count}" for name, count in routes)
         lines.append(f"dim {dim}: {cells} -> {verdict}")
-    mismatched = any(v == "mismatch" for _, v in report.verdicts)
+    mismatched = any(v["verdict"] == "mismatch" for v in verdicts)
     lines.append("verdict: " + ("mismatch" if mismatched else "all routes agree"))
-    return (EXIT_FLAGGED if mismatched else EXIT_OK), report.to_json_dict(), lines
+    doc = {
+        "target": dec.target,
+        "max_dim": dec.max_dim,
+        "table": [{"dimension": d, "routes": dict(routes)} for d, routes in dec.routes],
+        "verdicts": verdicts,
+    }
+    return (EXIT_FLAGGED if mismatched else EXIT_OK), doc, lines
 
 
 def build_parser():

@@ -6,11 +6,21 @@ presented loop-homology algebra, and, where applicable, against two more
 independent routes: the skeleton-family closed form ("porter") and the
 single-missing-face composition count ("james").  Route disagreements are
 reported as flags, never silently reconciled.
+
+Both targets run one pipeline.  Coordinate target i is the sphere S^{m_i+1},
+and a missing face sigma gives w_sigma in dimension
+t_sigma = (#sigma − 1) + sum of the m_i over sigma; the cp target is the
+grading with every m_i = 1, so t_sigma = 2#sigma − 1.  The targets differ
+only in the bracket flavor, because the loop homology of CP^∞ is exterior
+and that of S^{m+1} polynomial: "strict" brackets [w_sigma, b_j1, …, b_jl]
+take increasing lists from the complement J_sigma, "multiset" brackets
+nondecreasing lists over 1..n.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -27,9 +37,9 @@ from .linalg import IncrementalRank
 from .presentations import (
     abelian_series,
     b_name,
+    bracket_lists,
     build_cp_presentation,
     build_sphere_presentation,
-    graded_dimensions,
     kernel_generator_series,
     rewriting_system,
 )
@@ -126,27 +136,6 @@ class WedgeDecomposition:
         return doc
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    target: str
-    max_dim: int
-    table: tuple  # ((dimension, ((route_name, count), ...)), ...)
-    verdicts: tuple  # ((dimension, "agree" | "mismatch"), ...)
-    flags: tuple
-
-    def to_json_dict(self):
-        return {
-            "target": self.target,
-            "max_dim": self.max_dim,
-            "table": [
-                {"dimension": d, "routes": dict(routes)} for d, routes in self.table
-            ],
-            "verdicts": [
-                {"dimension": d, "verdict": v} for d, v in self.verdicts
-            ],
-        }
-
-
 def _require_mf(K):
     ok, witness = is_mf_complex(K)
     if not ok:
@@ -163,8 +152,16 @@ def detect_skeleton(K):
     return None
 
 
-def _james_counts(base, ms, max_dim):
-    """Per-dimension counts #{(d_1..d_k) >= 1 : base + sum d_t m_t = dim}."""
+def _composition_counts(base, ms, max_dim, strict):
+    """Per-dimension counts of the brackets on grades ``ms`` from ``base``.
+
+    Strict: each grade once, so the single dimension base + sum ms.
+    Multiset: #{(d_1..d_k) >= 1 : base + sum d_t m_t = dim}.  Dimensions
+    above ``max_dim`` (None: no bound) are dropped.
+    """
+    if strict:
+        dim = base + sum(ms)
+        return {dim: 1} if max_dim is None or dim <= max_dim else {}
     counts = {0: 1}
     for m in ms:
         new = {}
@@ -174,12 +171,7 @@ def _james_counts(base, ms, max_dim):
                 new[tot + d * m] = new.get(tot + d * m, 0) + c
                 d += 1
         counts = new
-    out = {}
-    for tot, c in counts.items():
-        dim = base + tot
-        if dim <= max_dim:
-            out[dim] = out.get(dim, 0) + c
-    return out
+    return {base + tot: c for tot, c in counts.items()}
 
 
 def _derived_u_element(sigma, p):
@@ -260,48 +252,94 @@ def _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts):
     return selected, rejected
 
 
-def _assemble(target, dims, max_dim, truncated, summands, selected,
-              g, rejected, porter_counts, james_counts):
-    enum_counts = {}
-    for s in list(summands) + list(selected):
-        enum_counts[s.dimension] = enum_counts.get(s.dimension, 0) + 1
-    series_counts = {
-        d + 1: g[d] for d in range(len(g.coeffs)) if g[d] and d + 1 <= max_dim
+def _decompose(K, target, dims, max_dim, budget_words):
+    """The wedge decomposition of both targets; ``dims`` is None for cp."""
+    _require_mf(K)
+    strict = target == "cp"
+    grading = (1,) * K.n if strict else dims
+    if len(grading) != K.n:
+        raise ComplexError(f"expected {K.n} sphere parameters, got {len(grading)}")
+    if any(m < 1 for m in grading):
+        raise ComplexError(f"sphere parameters must be >= 1, got {grading}")
+    mfs = [m.vertices for m in missing_faces(K)]
+
+    def t_sigma(sigma):
+        return len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
+
+    truncated = True
+    if strict:
+        natural_max = max(t_sigma(s) + len(j_complement(s, K.n)) for s in mfs)
+        truncated = max_dim is not None and natural_max > max_dim
+        if max_dim is None:
+            max_dim = natural_max
+
+    def brackets(sigma):
+        return bracket_lists(sigma, K.n, grading, max_dim, strict)
+
+    # Part (a): w_sigma per missing face; part (b): the brackets of each
+    # missing face with ≥ 3 vertices.
+    summands = []
+    for sigma in mfs:
+        if t_sigma(sigma) <= max_dim:
+            summands.append(SphereSummand(t_sigma(sigma), WhiteheadLabel("higher", sigma),
+                                          "enumeration"))
+        if len(sigma) >= 3:
+            summands.extend(
+                SphereSummand(dim, WhiteheadLabel("iterated", sigma, js), "enumeration")
+                for js, dim in brackets(sigma)
+            )
+
+    if strict:
+        p = build_cp_presentation(K)
+    else:
+        p = build_sphere_presentation(K, dims, "polynomial-all")
+    rs = rewriting_system(p, max_dim - 1, budget_words)
+    total = TruncatedSeries.from_coeffs(rs.series(max_dim - 1), max_dim - 1)
+    g = kernel_generator_series(total, abelian_series(p, max_dim - 1))
+
+    # Part (c): series-certified brackets of the 2-vertex missing faces.
+    small = [s for s in mfs if len(s) == 2]
+    ab_counts = Counter(s.dimension for s in summands)
+    selected, rejected = _small_sigma_candidates(p, rs, small, brackets, g, ab_counts)
+    summands.extend(selected)
+    enum_counts = Counter(s.dimension for s in summands)
+
+    routes = {
+        "enumeration": enum_counts,
+        "series": {d + 1: c for d, c in enumerate(g.coeffs) if c},
     }
-    # fill unlabeled series-certified summands where enumeration fell short
-    filled = list(summands) + list(selected)
-    have_counts = {}
-    for s in filled:
-        have_counts[s.dimension] = have_counts.get(s.dimension, 0) + 1
-    for dim, want in series_counts.items():
-        for _ in range(want - have_counts.get(dim, 0)):
-            filled.append(SphereSummand(dim, None, "series"))
-    routes = {"enumeration": enum_counts, "series": series_counts}
-    if porter_counts is not None:
-        routes["porter"] = porter_counts
-    if james_counts is not None:
-        routes["james"] = james_counts
-    all_dims = sorted(set().union(*(set(c) for c in routes.values())) or set())
+    k = detect_skeleton(K)
+    if k is not None:
+        routes["porter"] = porter_fnk(K.n, k, target, dims, max_dim).counts()
+    if len(mfs) == 1:
+        sigma = mfs[0]
+        routes["james"] = _composition_counts(
+            len(sigma) - 1, [grading[i - 1] for i in sigma], max_dim, strict
+        )
+
+    # Unlabeled series-certified summands fill where enumeration fell short.
+    for dim, want in routes["series"].items():
+        summands.extend(
+            SphereSummand(dim, None, "series")
+            for _ in range(want - enum_counts.get(dim, 0))
+        )
     table = []
     flags = []
-    for dim in all_dims:
-        if dim > max_dim:
-            continue
-        per = tuple((name, routes[name].get(dim, 0)) for name in
-                    ("enumeration", "series", "porter", "james") if name in routes)
+    for dim in sorted(set().union(*routes.values())):
+        per = tuple((name, counts.get(dim, 0)) for name, counts in routes.items())
         table.append((dim, per))
         if len({c for _, c in per}) > 1:
             flags.append(Flag(dim, per))
-    filled.sort(key=lambda s: (s.dimension, s.label is None,
-                               s.label.kind if s.label else "",
-                               s.label.sigma if s.label else (),
-                               s.label.js if s.label else ()))
+    summands.sort(key=lambda s: (s.dimension, s.label is None,
+                                 s.label.kind if s.label else "",
+                                 s.label.sigma if s.label else (),
+                                 s.label.js if s.label else ()))
     return WedgeDecomposition(
         target=target,
         dims=dims,
         max_dim=max_dim,
         truncated=truncated,
-        summands=tuple(filled),
+        summands=tuple(summands),
         flags=tuple(flags),
         routes=tuple(table),
         rejected=tuple(rejected),
@@ -317,70 +355,13 @@ def decompose_cp(K, max_dim=None, budget_words=2_000_000):
     2-vertex missing faces contribute series-certified brackets.  All
     per-dimension counts are reconciled against the kernel-generator
     series; skeleton and single-missing-face closed forms join the
-    comparison when applicable.
+    comparison when applicable.  Without ``max_dim`` the decomposition
+    runs to the largest dimension any bracket reaches.
     """
-    _require_mf(K)
-    mfs = [m.vertices for m in missing_faces(K)]
-    big = [s for s in mfs if len(s) >= 3]
-    small = [s for s in mfs if len(s) == 2]
-    summands = [
-        SphereSummand(2 * (len(s) - 1) + 1, WhiteheadLabel("higher", s), "enumeration")
-        for s in mfs
-    ]
-    natural_max = max(s.dimension for s in summands)
-    for sigma in big:
-        comp = j_complement(sigma, K.n)
-        base = 2 * (len(sigma) - 1) + 1
-        natural_max = max(natural_max, base + len(comp))
-        for l in range(1, len(comp) + 1):
-            for js in itertools.combinations(comp, l):
-                summands.append(
-                    SphereSummand(base + l, WhiteheadLabel("iterated", sigma, js),
-                                  "enumeration")
-                )
-    for sigma in small:
-        natural_max = max(natural_max, 3 + len(j_complement(sigma, K.n)))
-    truncated = False
-    if max_dim is None:
-        max_dim = natural_max
-    else:
-        truncated = natural_max > max_dim
-        summands = [s for s in summands if s.dimension <= max_dim]
-
-    p = build_cp_presentation(K)
-    rs = rewriting_system(p, max_dim - 1, budget_words)
-    total = TruncatedSeries.from_coeffs(rs.series(max_dim - 1), max_dim - 1)
-    g = kernel_generator_series(total, abelian_series(p, max_dim - 1))
-
-    ab_counts = {}
-    for s in summands:
-        ab_counts[s.dimension] = ab_counts.get(s.dimension, 0) + 1
-
-    def candidate_js(sigma):
-        # Shorter lists first, so every js follows its parent js[:-1].
-        comp = j_complement(sigma, K.n)
-        for l in range(1, len(comp) + 1):
-            for js in itertools.combinations(comp, l):
-                dim = 3 + l
-                if dim <= max_dim:
-                    yield js, dim
-
-    selected, rejected = _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts)
-
-    k = detect_skeleton(K)
-    porter_counts = None
-    if k is not None:
-        porter_counts = porter_fnk(K.n, k, target="cp").counts()
-        porter_counts = {d: c for d, c in porter_counts.items() if d <= max_dim}
-    james = None
-    if len(mfs) == 1:
-        james = {2 * len(mfs[0]) - 1: 1}
-    return _assemble("cp", None, max_dim, truncated, summands, selected,
-                     g, rejected, porter_counts, james)
+    return _decompose(K, "cp", None, max_dim, budget_words)
 
 
-def decompose_spheres(K, dims, max_dim, convention="polynomial-all",
-                      budget_words=2_000_000):
+def decompose_spheres(K, dims, max_dim, budget_words=2_000_000):
     """Wedge decomposition with coordinate target i the sphere S^{m_i+1}.
 
     Part (a): one sphere of dimension t_sigma per missing face, where
@@ -388,69 +369,10 @@ def decompose_spheres(K, dims, max_dim, convention="polynomial-all",
     missing face with ≥ 3 vertices, one sphere per nonempty nondecreasing
     multiset over 1..n within the dimension bound.  Part (c) and the route
     reconciliation work as in the cp case, against the sphere-case
-    presentation; its series matches the multiset enumeration under the
-    polynomial-all convention, which is therefore the default here.
+    presentation under the polynomial-all convention, whose series matches
+    the multiset enumeration.  The result is always truncated at ``max_dim``.
     """
-    _require_mf(K)
-    dims = tuple(dims)
-    if len(dims) != K.n:
-        raise ComplexError(f"expected {K.n} sphere parameters, got {len(dims)}")
-    mfs = [m.vertices for m in missing_faces(K)]
-    big = [s for s in mfs if len(s) >= 3]
-    small = [s for s in mfs if len(s) == 2]
-
-    def t_sigma(sigma):
-        return len(sigma) - 1 + sum(dims[i - 1] for i in sigma)
-
-    summands = [
-        SphereSummand(t_sigma(s), WhiteheadLabel("higher", s), "enumeration")
-        for s in mfs
-        if t_sigma(s) <= max_dim
-    ]
-
-    def multisets(base):
-        # Depth first, so every js follows its parent js[:-1].
-        def grow(js, dim, start):
-            for j in range(start, K.n + 1):
-                nd = dim + dims[j - 1]
-                if nd <= max_dim:
-                    yield js + (j,), nd
-                    yield from grow(js + (j,), nd, j)
-
-        yield from grow((), base, 1)
-
-    for sigma in big:
-        base = t_sigma(sigma)
-        for js, dim in multisets(base):
-            summands.append(
-                SphereSummand(dim, WhiteheadLabel("iterated", sigma, js), "enumeration")
-            )
-
-    p = build_sphere_presentation(K, dims, convention)
-    rs = rewriting_system(p, max_dim - 1, budget_words)
-    total = TruncatedSeries.from_coeffs(rs.series(max_dim - 1), max_dim - 1)
-    g = kernel_generator_series(total, abelian_series(p, max_dim - 1))
-
-    ab_counts = {}
-    for s in summands:
-        ab_counts[s.dimension] = ab_counts.get(s.dimension, 0) + 1
-
-    def candidate_js(sigma):
-        yield from multisets(t_sigma(sigma))
-
-    selected, rejected = _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts)
-
-    k = detect_skeleton(K)
-    porter_counts = None
-    if k is not None:
-        porter_counts = porter_fnk(K.n, k, target="spheres", dims=dims,
-                                   max_dim=max_dim).counts()
-    james = None
-    if len(mfs) == 1:
-        sigma = mfs[0]
-        james = _james_counts(len(sigma) - 1, [dims[i - 1] for i in sigma], max_dim)
-    return _assemble("spheres", dims, max_dim, True, summands, selected,
-                     g, rejected, porter_counts, james)
+    return _decompose(K, "spheres", tuple(dims), max_dim, budget_words)
 
 
 def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
@@ -464,74 +386,44 @@ def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
     """
     if not (1 <= k <= n - 1):
         raise ComplexError(f"require 1 <= k <= n-1, got n={n}, k={k}")
-    base = n - k
-    summands = []
-    truncated = False
+    if target not in ("cp", "spheres"):
+        raise ComplexError(f"unknown target {target!r}")
+    strict = target == "cp"
+    if not strict and (dims is None or max_dim is None):
+        raise ComplexError("sphere target requires dims and max_dim")
+    grading = (1,) * n if strict else dims
+    truncated = not strict
+    tally = {}
     for j in range(n - k + 1, n + 1):
         mult = comb(j - 1, n - k)
         for subset in itertools.combinations(range(1, n + 1), j):
-            if target == "cp":
-                dim = base + j
-                if max_dim is not None and dim > max_dim:
-                    truncated = True
-                    continue
-                summands.extend(
-                    SphereSummand(dim, None, "porter") for _ in range(mult)
-                )
-            elif target == "spheres":
-                if dims is None or max_dim is None:
-                    raise ComplexError(
-                        "sphere target requires dims and max_dim"
-                    )
-                truncated = True
-                counts = _james_counts(base, [dims[i - 1] for i in subset], max_dim)
-                for dim in sorted(counts):
-                    summands.extend(
-                        SphereSummand(dim, None, "porter")
-                        for _ in range(mult * counts[dim])
-                    )
-            else:
-                raise ComplexError(f"unknown target {target!r}")
-    summands.sort(key=lambda s: s.dimension)
-    top = max((s.dimension for s in summands), default=0)
+            counts = _composition_counts(
+                n - k, [grading[i - 1] for i in subset], max_dim, strict
+            )
+            truncated = truncated or not counts
+            for dim, c in counts.items():
+                tally[dim] = tally.get(dim, 0) + mult * c
+    tally = dict(sorted(tally.items()))
     return WedgeDecomposition(
         target=target,
         dims=tuple(dims) if dims is not None else None,
-        max_dim=max_dim if max_dim is not None else top,
+        max_dim=max_dim if max_dim is not None else max(tally, default=0),
         truncated=truncated,
-        summands=tuple(summands),
-        flags=(),
-        routes=tuple(
-            (dim, (("porter", c),))
-            for dim, c in sorted(
-                {
-                    d: sum(1 for s in summands if s.dimension == d)
-                    for d in {s.dimension for s in summands}
-                }.items()
-            )
+        summands=tuple(
+            SphereSummand(dim, None, "porter") for dim, c in tally.items() for _ in range(c)
         ),
+        flags=(),
+        routes=tuple((dim, (("porter", c),)) for dim, c in tally.items()),
         rejected=(),
     )
 
 
 def consistency_report(K, target="cp", dims=None, max_dim=8, budget_words=2_000_000):
-    """Tabulate every applicable counting route per dimension and compare."""
+    """The decomposition whose ``routes`` tabulate every applicable route."""
     if target == "cp":
-        dec = decompose_cp(K, max_dim, budget_words)
-    elif target == "spheres":
+        return decompose_cp(K, max_dim, budget_words)
+    if target == "spheres":
         if dims is None:
             raise ComplexError("sphere target requires dims")
-        dec = decompose_spheres(K, dims, max_dim, budget_words=budget_words)
-    else:
-        raise ComplexError(f"unknown target {target!r}")
-    verdicts = tuple(
-        (dim, "mismatch" if len({c for _, c in routes}) > 1 else "agree")
-        for dim, routes in dec.routes
-    )
-    return ConsistencyReport(
-        target=target,
-        max_dim=max_dim,
-        table=dec.routes,
-        verdicts=verdicts,
-        flags=dec.flags,
-    )
+        return decompose_spheres(K, dims, max_dim, budget_words=budget_words)
+    raise ComplexError(f"unknown target {target!r}")

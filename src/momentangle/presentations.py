@@ -11,7 +11,7 @@ factorization total = abelian · 1/(1−g).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -211,19 +211,48 @@ def _big_missing_faces(K):
     return [mf.vertices for mf in mfs]
 
 
+def bracket_lists(sigma, n, grading, max_dim, strict):
+    """Yield (js, dimension) for each bracket [w_sigma, b_j1, ..., b_jl], l ≥ 1.
+
+    The strict flavor takes strictly increasing lists from the complement
+    J_sigma (loop homology of CP^∞ is exterior); the multiset flavor takes
+    nondecreasing lists over 1..n (that of S^{m+1} is polynomial).  The
+    dimension is t_sigma = (#sigma − 1) + sum of ``grading`` over sigma,
+    plus the grading summed over js; lists above ``max_dim`` are dropped.
+    The walk is depth-first preorder on an explicit stack, so every js comes
+    after its parent js[:-1] and lists of one length come in lexicographic
+    order.
+    """
+    letters = tuple(j_complement(sigma, n)) if strict else tuple(range(1, n + 1))
+    base = len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
+    step = 1 if strict else 0  # strict lists never repeat a letter
+    stack = [((), base, 0)]  # (js, dimension, index of the first letter allowed next)
+    while stack:
+        js, dim, start = stack.pop()
+        if js:
+            yield js, dim
+        children = []
+        for t in range(start, len(letters)):
+            child_dim = dim + grading[letters[t] - 1]
+            if child_dim <= max_dim:
+                children.append((js + (letters[t],), child_dim, t + step))
+        stack.extend(reversed(children))
+
+
 def enumerate_R_tilde(K):
     """Bracket generators with strictly increasing indices from J_sigma.
 
     Requires every missing face to have ≥ 3 vertices.  Degrees use the
     cp-case grading (b's in degree 1).
     """
+    ones = (1,) * K.n
     out = []
     for sigma in _big_missing_faces(K):
-        base = 2 * len(sigma) - 2
-        comp = j_complement(sigma, K.n)
-        for l in range(len(comp) + 1):
-            for js in itertools.combinations(comp, l):
-                out.append(BracketGenerator(sigma, js, base + l, "strict"))
+        out.append(BracketGenerator(sigma, (), 2 * len(sigma) - 2, "strict"))
+        out.extend(
+            BracketGenerator(sigma, js, dim - 1, "strict")
+            for js, dim in bracket_lists(sigma, K.n, ones, math.inf, strict=True)
+        )
     out.sort(key=lambda g: (g.degree, g.sigma, g.js))
     return out
 
@@ -240,15 +269,11 @@ def enumerate_R(K, dims, max_degree):
         base = n_sigma(sigma, dims)
         if base > max_degree:
             continue
-
-        def grow(js, deg, start, sigma=sigma):
-            out.append(BracketGenerator(sigma, js, deg, "multiset"))
-            for j in range(start, K.n + 1):
-                nd = deg + dims[j - 1]
-                if nd <= max_degree:
-                    grow(js + (j,), nd, j)
-
-        grow((), base, 1)
+        out.append(BracketGenerator(sigma, (), base, "multiset"))
+        out.extend(
+            BracketGenerator(sigma, js, dim - 1, "multiset")
+            for js, dim in bracket_lists(sigma, K.n, dims, max_degree + 1, strict=False)
+        )
     out.sort(key=lambda g: (g.degree, g.sigma, g.js))
     return out
 

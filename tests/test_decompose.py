@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentangle import decompose
 from momentangle.complexes import ComplexError, SimplicialComplex, skeleton_complex
@@ -10,7 +14,7 @@ from momentangle.decompose import (
     detect_skeleton,
     porter_fnk,
 )
-from momentangle.presentations import b_name
+from momentangle.presentations import b_name, bracket_lists
 from momentangle.tensor import TensorElement, commutator
 
 
@@ -88,25 +92,33 @@ def test_skeleton42_flag_pin():
     assert flag.routes_dict() == {"enumeration": 4, "series": 4, "porter": 3}
 
 
+def verdicts(dec):
+    """(dimension, "agree" | "mismatch") per row of the route table."""
+    return tuple(
+        (dim, "mismatch" if len({c for _, c in routes}) > 1 else "agree")
+        for dim, routes in dec.routes
+    )
+
+
 def test_consistency_report_skeleton42():
-    report = consistency_report(skeleton_complex(4, 2), "cp", max_dim=8)
-    verdicts = dict(report.verdicts)
-    assert verdicts.pop(6) == "mismatch"
-    assert set(verdicts.values()) == {"agree"}
+    dec = consistency_report(skeleton_complex(4, 2), "cp", max_dim=8)
+    by_dim = dict(verdicts(dec))
+    assert by_dim.pop(6) == "mismatch"
+    assert set(by_dim.values()) == {"agree"}
 
 
 @pytest.mark.parametrize("make", ["K1", "K3"])
 def test_consistency_report_all_agree(make, request):
     K = request.getfixturevalue(make)
-    report = consistency_report(K, "cp")
-    assert all(v == "agree" for _, v in report.verdicts)
-    assert not report.flags
+    dec = consistency_report(K, "cp")
+    assert all(v == "agree" for _, v in verdicts(dec))
+    assert not dec.flags
 
 
 def test_consistency_report_skeleton_n1_agrees():
-    report = consistency_report(skeleton_complex(5, 1), "cp", max_dim=9)
-    assert all(v == "agree" for _, v in report.verdicts)
-    assert any("porter" in dict(routes) for _, routes in report.table)
+    dec = consistency_report(skeleton_complex(5, 1), "cp", max_dim=9)
+    assert all(v == "agree" for _, v in verdicts(dec))
+    assert any("porter" in dict(routes) for _, routes in dec.routes)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -210,6 +222,36 @@ def test_label_dimension_coherence(make):
     for s in dec2.summands:
         if s.label is not None:
             assert s.dimension == _label_dimension(s.label, "spheres", dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bracket_lists_match_itertools(data):
+    n = data.draw(st.integers(2, 6))
+    sigma = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=2))))
+    grading = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    max_dim = data.draw(st.integers(0, 16))
+    base = len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
+
+    def dim(js):
+        return base + sum(grading[j - 1] for j in js)
+
+    complement = [j for j in range(1, n + 1) if j not in sigma]
+    flavors = ((True, itertools.combinations, complement),
+               (False, itertools.combinations_with_replacement, range(1, n + 1)))
+    for strict, choose, letters in flavors:
+        got = list(bracket_lists(sigma, n, grading, max_dim, strict))
+        # Every grade is >= 1, so no list is longer than max_dim - base.
+        lengths = range(1, max_dim - base + 1)
+        for length in lengths:
+            expected = [(js, dim(js)) for js in choose(letters, length)
+                        if dim(js) <= max_dim]
+            assert [x for x in got if len(x[0]) == length] == expected, strict
+        assert all(len(js) in lengths for js, _ in got), strict
+        seen = {()}
+        for js, _ in got:
+            assert js[:-1] in seen, (strict, js)
+            seen.add(js)
 
 
 def test_detect_skeleton(K1):

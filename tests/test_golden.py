@@ -17,7 +17,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SPHERES = ("--target", "spheres")
 
-# (golden file name, expected exit code, subcommand, fixture, further arguments)
+# (golden file name, expected exit code, subcommand, fixture or None, further
+# arguments)
 CASES = [
     *(
         (f"decompose_{name}{suffix}", code, "decompose", f"{name}.sc", extra)
@@ -30,8 +31,20 @@ CASES = [
      (*SPHERES, "--dims", "1,1,1,1,1", "--max-dim", "8")),
     ("decompose_spheres_pair_11.txt", 0, "decompose", "pair.sc",
      (*SPHERES, "--dims", "1,1", "--max-dim", "6")),
+    ("decompose_spheres_K1_1212.json", 0, "decompose", "K1.sc",
+     (*SPHERES, "--dims", "1,2,1,2", "--max-dim", "10", "--json")),
     ("check_skel42.txt", 1, "check", "skel42.sc", ()),
+    ("check_skel42.json", 1, "check", "skel42.sc", ("--json",)),
+    ("check_spheres_K1_1212.txt", 0, "check", "K1.sc",
+     (*SPHERES, "--dims", "1,2,1,2", "--max-dim", "8")),
+    ("porter_4_2.txt", 0, "porter", None, ("4", "2")),
+    ("porter_4_2.json", 0, "porter", None, ("4", "2", "--json")),
+    ("porter_spheres_4_2_1212.json", 0, "porter", None,
+     ("4", "2", *SPHERES, "--dims", "1,2,1,2", "--max-dim", "8", "--json")),
+    ("analyze_K3.txt", 0, "analyze", "K3.sc", ()),
     ("loop_homology_K3.txt", 0, "loop-homology", "K3.sc", ("--max-degree", "11")),
+    ("allday_product_121.json", 0, "allday", None,
+     ("--dims", "1,2,1", "--model", "product", "--max-degree", "6", "--json")),
 ]
 
 
@@ -44,6 +57,7 @@ def run(argv):
 
 @pytest.mark.parametrize("name,code,sub,fixture,extra", CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(name, code, sub, fixture, extra):
-    got_code, got = run([sub, str(FIXTURES / fixture), *extra])
+    inputs = [str(FIXTURES / fixture)] if fixture is not None else []
+    got_code, got = run([sub, *inputs, *extra])
     assert got_code == code
     assert got == (GOLDEN / name).read_text()
