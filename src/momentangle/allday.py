@@ -21,7 +21,7 @@ from .series import (
     shuffle_sign,
     type2_shuffles,
 )
-from .tensor import TensorElement, commutator
+from .tensor import TensorElement, commutator, words_by_degree
 
 
 class ModelError(ValueError):
@@ -78,15 +78,8 @@ class DGAModel:
             {I: tuple(dg.items()) for I, dg in self.differential.items() if dg},
         )
 
-    @property
-    def n(self):
-        return len(self.dims)
-
     def degree_of(self, I):
         return generator_degree(I, self.dims)
-
-    def word_degree(self, word):
-        return sum(self.degree_of(I) for I in word)
 
     def d_word(self, word):
         """Derivation extension: d(xy) = d(x)y + (-1)^|x| x d(y)."""
@@ -187,76 +180,48 @@ def check_d_squared(model, max_degree):
     return True, None
 
 
-def _words_by_content(model, max_degree):
-    """All words of degree <= max_degree, grouped by vertex-content vector.
-
-    Returns {content: {letter_count: [words]}}; content is the tuple over
-    vertices 1..n counting how often each vertex occurs among the word's
-    letters.  The differential preserves content and raises the letter
-    count by one.
-    """
-    letters = model.generators
-    degs = [model.degree_of(I) for I in letters]
-    n = model.n
-    groups = {}
-
-    def record(word, content):
-        groups.setdefault(tuple(content), {}).setdefault(len(word), []).append(word)
-
-    def extend(word, degree, content):
-        for letter, dl in zip(letters, degs):
-            nd = degree + dl
-            if nd > max_degree:
-                continue
-            for i in letter:
-                content[i - 1] += 1
-            nw = word + (letter,)
-            record(nw, content)
-            extend(nw, nd, content)
-            for i in letter:
-                content[i - 1] -= 1
-
-    record((), [0] * n)
-    extend((), 0, [0] * n)
-    return groups
-
-
-def homology_series(model, max_degree):
+def homology_series(model, max_degree, budget_words=2_000_000):
     """Graded dimensions of the model's homology through ``max_degree``.
 
     Per degree d: (number of words of degree d) minus the ranks of the
-    incoming and outgoing differentials, computed blockwise per content
-    vector by exact integer elimination.
+    incoming and outgoing differentials.  The differential preserves the
+    vertex content of a word (how often each vertex occurs among its
+    letters) and lowers the degree by one, so each degree splits into
+    blocks by content, and each block maps into the block of the same
+    content one degree lower; ranks are computed blockwise by exact
+    integer elimination.  Raises :class:`BudgetError` when the words
+    through degree ``max_degree + 1`` number more than ``budget_words``.
     """
     ok, witness = check_d_squared(model, max_degree + 1)
     if not ok:
         raise ModelError(f"differential does not square to zero, witness {witness}")
-    groups = _words_by_content(model, max_degree + 1)
-    out = [0] * (max_degree + 1)
-    for content, levels in groups.items():
-        weight = sum(
-            c * (model.dims[i] + 1) for i, c in enumerate(content)
-        )  # degree of a word at level r is weight - r
-        ranks = {}
-        for r, words in levels.items():
-            target = levels.get(r + 1)
+    letters = [(I, model.degree_of(I)) for I in model.generators]
+    layers = words_by_degree(letters, max_degree + 1, budget_words)
+    # A word's content vector, written as one integer in base B: no vertex
+    # occurs more than max_degree + 1 < B times in a word of these degrees.
+    B = max_degree + 2
+    code = {I: sum(B ** (i - 1) for i in I) for I in model.generators}
+    ranks = [0] * (max_degree + 2)  # ranks[d]: rank of d on degree d
+    below = {}
+    for d, layer in enumerate(layers):
+        blocks = {}
+        for w in layer:
+            blocks.setdefault(sum(map(code.__getitem__, w)), []).append(w)
+        for content, words in blocks.items():
+            target = below.get(content)
             if target is None:
-                ranks[r] = 0
                 continue
             # The kernel pivots on the smallest column; numbering the target
             # backwards makes that the last word in enumeration order, which
-            # keeps elimination chains short on these depth-first lists.
+            # keeps elimination chains short on these lexicographic lists.
             index = {w: -i for i, w in enumerate(target)}
             rows = []
             for w in words:
                 image = model.d_word(w)
                 rows.append({index[iw]: c for iw, c in image.items()})
-            ranks[r] = sparse_rank(rows)
-        for r, words in levels.items():
-            degree = weight - r
-            if 0 <= degree <= max_degree:
-                h = len(words) - ranks.get(r, 0) - ranks.get(r - 1, 0)
-                out[degree] += h
+            ranks[d] += sparse_rank(rows)
+        below = blocks
+    out = [len(layers[d]) - ranks[d] - ranks[d + 1] for d in range(max_degree + 1)]
     return TruncatedSeries(cutoff=max_degree, coeffs=tuple(out))
 
 

@@ -3,7 +3,7 @@
 Subcommands: analyze, decompose, loop-homology, allday, porter, check.
 Output is deterministic text, or JSON with --json.  Exit codes: 0 clean,
 1 flagged disagreement or failed series factorization, 2 parse error,
-3 violated precondition.
+3 violated precondition or exhausted word budget.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .presentations import (
     graded_dimensions,
     kernel_generator_series,
 )
-from .rewriting import BudgetError
 from .series import FactorizationError, SeriesError, TruncatedSeries
+from .tensor import BudgetError
 
 EXIT_OK = 0
 EXIT_FLAGGED = 1
@@ -121,7 +121,7 @@ def cmd_analyze(args):
     doc = {
         "vertices": K.n,
         "face_counts": {str(k): v for k, v in K.face_counts().items()},
-        "missing_faces": [list(m.vertices) for m in mfs],
+        "missing_faces": [list(m) for m in mfs],
         "is_mf_complex": ok,
         "witness": list(witness) if witness is not None else None,
         "shifted_identity": shifted_id,
@@ -132,7 +132,7 @@ def cmd_analyze(args):
         f"vertices: {K.n}",
         "face counts: "
         + " ".join(f"{k}:{v}" for k, v in K.face_counts().items()),
-        "MF(K): " + " ".join("(" + ",".join(map(str, m.vertices)) + ")" for m in mfs),
+        "MF(K): " + " ".join("(" + ",".join(map(str, m)) + ")" for m in mfs),
         "MF-complex: " + ("yes" if ok else f"no (witness face ({','.join(map(str, witness))}))"),
         f"shifted(identity): {'yes' if shifted_id else 'no'}",
     ]
@@ -226,7 +226,7 @@ def cmd_allday(args):
     if not ok:
         doc["witness"] = [list(w) for w in witness]
         return EXIT_FLAGGED, doc, lines
-    h = homology_series(model, D)
+    h = homology_series(model, D, args.budget_words)
     lines.append(f"homology series (degrees 0..{D}): {_series_text(h)}")
     doc["homology_series"] = list(h.coeffs)
     if args.check_bubenik:
@@ -254,22 +254,22 @@ def cmd_check(args):
         K, target=args.target, dims=dims, max_dim=args.max_dim,
         budget_words=args.budget_words,
     )
+    flagged = {f.dimension for f in dec.flags}
     lines = []
     verdicts = []
     for dim, routes in dec.routes:
-        verdict = "mismatch" if len({c for _, c in routes}) > 1 else "agree"
+        verdict = "mismatch" if dim in flagged else "agree"
         verdicts.append({"dimension": dim, "verdict": verdict})
         cells = " ".join(f"{name}={count}" for name, count in routes)
         lines.append(f"dim {dim}: {cells} -> {verdict}")
-    mismatched = any(v["verdict"] == "mismatch" for v in verdicts)
-    lines.append("verdict: " + ("mismatch" if mismatched else "all routes agree"))
+    lines.append("verdict: " + ("mismatch" if flagged else "all routes agree"))
     doc = {
         "target": dec.target,
         "max_dim": dec.max_dim,
         "table": [{"dimension": d, "routes": dict(routes)} for d, routes in dec.routes],
         "verdicts": verdicts,
     }
-    return (EXIT_FLAGGED if mismatched else EXIT_OK), doc, lines
+    return (EXIT_FLAGGED if flagged else EXIT_OK), doc, lines
 
 
 def build_parser():
@@ -280,15 +280,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_file=True):
+    def common(p, input_file=True, budget=True):
         if input_file:
             p.add_argument("input", help="complex description file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--budget-words", type=int, default=2_000_000,
-                       help="word-count budget per computation")
+        if budget:
+            p.add_argument("--budget-words", type=int, default=2_000_000,
+                           help="word-count budget per computation")
 
     p = sub.add_parser("analyze", help="classify a complex")
-    common(p)
+    common(p, budget=False)
     p.add_argument("--shift-search-bound", type=int, default=8,
                    help="max n for the exhaustive shiftedness search")
     p.set_defaults(func=cmd_analyze)

@@ -78,23 +78,6 @@ class SimplicialComplex:
         return SimplicialComplex(n=self.n, faces=frozenset(faces))
 
 
-@dataclass(frozen=True)
-class MissingFace:
-    """Minimal non-face: not a face, but every proper subset is."""
-
-    vertices: tuple
-
-    @property
-    def dimension(self):
-        return len(self.vertices) - 1
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-
 def parse_complex(text):
     """Parse a complex-description document.
 
@@ -193,7 +176,9 @@ def maximal_faces(K):
 
 
 def missing_faces(K):
-    """Minimal non-faces of cardinality >= 2, sorted by (cardinality, lex).
+    """Minimal non-faces of cardinality >= 2, as sorted vertex tuples, in
+    (cardinality, lex) order.  A minimal non-face is not a face, but every
+    proper subset is.
 
     Candidates are grown from faces of one cardinality less, so sparse
     complexes never trigger a full subset scan.
@@ -220,8 +205,8 @@ def missing_faces(K):
                     sub in K.faces
                     for sub in itertools.combinations(cand, card - 1)
                 ):
-                    found.append(MissingFace(cand))
-    found.sort(key=lambda mf: (len(mf.vertices), mf.vertices))
+                    found.append(cand)
+    found.sort(key=lambda mf: (len(mf), mf))
     return found
 
 
@@ -232,7 +217,7 @@ def is_mf_complex(K):
     maximal face of K contained in no missing face.  The full simplex has no
     missing faces and is therefore not an MF-complex.
     """
-    mf = [set(m.vertices) for m in missing_faces(K)]
+    mf = [set(m) for m in missing_faces(K)]
     for face in maximal_faces(K):
         fs = set(face)
         if not any(fs < m for m in mf):

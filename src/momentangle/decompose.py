@@ -79,9 +79,6 @@ class Flag:
     dimension: int
     routes: tuple  # ((route_name, count), ...)
 
-    def routes_dict(self):
-        return dict(self.routes)
-
 
 @dataclass(frozen=True)
 class WedgeDecomposition:
@@ -261,7 +258,7 @@ def _decompose(K, target, dims, max_dim, budget_words):
         raise ComplexError(f"expected {K.n} sphere parameters, got {len(grading)}")
     if any(m < 1 for m in grading):
         raise ComplexError(f"sphere parameters must be >= 1, got {grading}")
-    mfs = [m.vertices for m in missing_faces(K)]
+    mfs = missing_faces(K)
 
     def t_sigma(sigma):
         return len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
@@ -293,9 +290,13 @@ def _decompose(K, target, dims, max_dim, budget_words):
         p = build_cp_presentation(K)
     else:
         p = build_sphere_presentation(K, dims, "polynomial-all")
-    rs = rewriting_system(p, max_dim - 1, budget_words)
-    total = TruncatedSeries.from_coeffs(rs.series(max_dim - 1), max_dim - 1)
-    g = kernel_generator_series(total, abelian_series(p, max_dim - 1))
+    # The kernel series counts spheres of dimension d + 1 in degree d, so it
+    # is needed through degree max_dim − 1; at max_dim 0 it runs to degree
+    # 0, where it is zero.
+    top = max(max_dim - 1, 0)
+    rs = rewriting_system(p, top, budget_words)
+    total = TruncatedSeries.from_coeffs(rs.series(top), top)
+    g = kernel_generator_series(total, abelian_series(p, top))
 
     # Part (c): series-certified brackets of the 2-vertex missing faces.
     small = [s for s in mfs if len(s) == 2]

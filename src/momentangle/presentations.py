@@ -25,7 +25,7 @@ from .series import (
     series_div_exact,
 )
 from .rewriting import RewritingSystem
-from .tensor import TensorElement
+from .tensor import TensorElement, words_by_degree
 
 
 class PresentationError(ValueError):
@@ -138,8 +138,7 @@ def build_cp_presentation(K):
         rel = TensorElement.term((b_name(i), b_name(j)))
         rel.add_term((b_name(j), b_name(i)), 1)
         rels.append(rel)
-    for mf in missing_faces(K):
-        sigma = mf.vertices
+    for sigma in missing_faces(K):
         if len(sigma) < 3:
             continue
         u = u_name(sigma)
@@ -182,8 +181,7 @@ def build_sphere_presentation(K, dims, convention="exterior-on-odd"):
         rel = TensorElement.term((b_name(i), b_name(j)))
         rel.add_term((b_name(j), b_name(i)), sign)
         rels.append(rel)
-    for mf in missing_faces(K):
-        sigma = mf.vertices
+    for sigma in missing_faces(K):
         if len(sigma) < 3:
             continue
         gens.append(Generator(u_name(sigma), n_sigma(sigma, dims), ("higher", sigma)))
@@ -203,12 +201,12 @@ def abelian_series(p, max_degree):
 
 def _big_missing_faces(K):
     mfs = missing_faces(K)
-    for mf in mfs:
-        if len(mf.vertices) == 2:
+    for sigma in mfs:
+        if len(sigma) == 2:
             raise PresentationError(
-                f"2-vertex missing face {mf.vertices} present; use the series route"
+                f"2-vertex missing face {sigma} present; use the series route"
             )
-    return [mf.vertices for mf in mfs]
+    return mfs
 
 
 def bracket_lists(sigma, n, grading, max_dim, strict):
@@ -289,25 +287,20 @@ def graded_dimensions(p, max_degree, method="rewriting", budget_words=2_000_000)
     ``method`` selects the route: "rewriting" counts normal words of the
     completed rewriting system; "linear" computes, per degree, the rank of
     the span of all word·relation·word products by exact integer
-    elimination.  The two routes are independent and must agree.
+    elimination.  The two routes are independent and must agree.  Both
+    raise :class:`BudgetError` when they would count or list more than
+    ``budget_words`` words.
     """
     if method == "rewriting":
         rs = rewriting_system(p, max_degree, budget_words)
         return TruncatedSeries.from_coeffs(rs.series(max_degree), max_degree)
     if method == "linear":
-        return _graded_dimensions_linear(p, max_degree)
+        return _graded_dimensions_linear(p, max_degree, budget_words)
     raise PresentationError(f"unknown method {method!r}")
 
 
-def _graded_dimensions_linear(p, max_degree):
-    letters = p.generator_pairs()
-    words = {0: [()]}
-    for d in range(1, max_degree + 1):
-        level = []
-        for name, deg in letters:
-            if deg <= d:
-                level.extend(w + (name,) for w in words[d - deg])
-        words[d] = level
+def _graded_dimensions_linear(p, max_degree, budget_words):
+    words = words_by_degree(p.generator_pairs(), max_degree, budget_words)
     dims = [0] * (max_degree + 1)
     dims[0] = 1
     for d in range(1, max_degree + 1):

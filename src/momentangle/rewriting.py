@@ -21,19 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .tensor import TensorElement
+from .tensor import BudgetError, TensorElement
 
 
 class RewritingError(ValueError):
     """Invalid rewriting-system input."""
-
-
-class BudgetError(RuntimeError):
-    """Word-count budget exhausted; carries the degree reached."""
-
-    def __init__(self, degree, message):
-        self.degree = degree
-        super().__init__(f"degree {degree}: {message}")
 
 
 class RewritingSystem:

@@ -2,10 +2,20 @@
 
 A word is a tuple of letters; what a letter is (an index set, a generator
 id) is the caller's business, together with a degree map.  Coefficients are
-exact (int or Fraction).
+exact (int or Fraction).  ``words_by_degree`` lists every word of a graded
+alphabet under a word budget; the Allday homology and the linear oracle
+both enumerate through it.
 """
 
 from __future__ import annotations
+
+
+class BudgetError(RuntimeError):
+    """Word-count budget exhausted; carries the degree reached."""
+
+    def __init__(self, degree, message):
+        self.degree = degree
+        super().__init__(f"degree {degree}: {message}")
 
 
 class TensorElement(dict):
@@ -43,9 +53,6 @@ class TensorElement(dict):
             out.add_term(word, -coeff)
         return out
 
-    def __neg__(self):
-        return TensorElement({w: -c for w, c in self.items()})
-
     def scale(self, scalar):
         if not scalar:
             return TensorElement()
@@ -64,15 +71,8 @@ class TensorElement(dict):
     def degrees(self, degree_of):
         return {sum(degree_of(x) for x in w) for w in self}
 
-    def is_homogeneous(self, degree_of):
-        return len(self.degrees(degree_of)) <= 1
-
     def sorted_terms(self):
         return sorted(self.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-
-def word_degree(word, degree_of):
-    return sum(degree_of(x) for x in word)
 
 
 def commutator(x, y, degree_of):
@@ -88,3 +88,28 @@ def _homogeneous_degree(el, degree_of):
     if len(degs) != 1:
         raise ValueError(f"element not homogeneous: degrees {sorted(degs)}")
     return next(iter(degs))
+
+
+def words_by_degree(letters, max_degree, budget_words):
+    """Every word in ``letters``, listed by degree through ``max_degree``.
+
+    ``letters`` is a sequence of (letter, degree) pairs with degrees >= 1,
+    and ``max_degree`` >= 0.  Entry d of the returned list holds the words
+    of degree d: (x,) + w for each letter x in the given order and each
+    word w of degree d − |x|, so each degree is in lexicographic order.
+    The words are counted first: :class:`BudgetError` is raised, before
+    any word is built, when the number of words through ``max_degree``,
+    the empty word included, exceeds ``budget_words``.
+    """
+    counts = [1]
+    total = 0
+    for d in range(max_degree + 1):
+        if d:
+            counts.append(sum(counts[d - dx] for _, dx in letters if dx <= d))
+        total += counts[d]
+        if total > budget_words:
+            raise BudgetError(d, f"word budget {budget_words} exhausted")
+    layers = [[()]]
+    for d in range(1, max_degree + 1):
+        layers.append([(x,) + w for x, dx in letters if dx <= d for w in layers[d - dx]])
+    return layers

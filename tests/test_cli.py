@@ -113,6 +113,15 @@ def test_allday_check_bubenik():
     assert "homology == Bubenik closed form: ok" in res.stdout
 
 
+def test_allday_deep_degree_is_budgeted():
+    # 2^(d+1) - 1 words through degree d: the default budget runs out long
+    # before degree 1200, and nothing recurses on the way.
+    res = run_cli("allday", "--dims", "1,1", "--max-degree", "1200")
+    assert res.returncode == 3
+    assert "budget exhausted" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_allday_product_model():
     res = run_cli("allday", "--dims", "1,1", "--model", "product", "--max-degree", "6")
     assert res.returncode == 0
@@ -136,6 +145,20 @@ def test_check_clean(fixtures_dir):
     res = run_cli("check", str(fixtures_dir / "K1.sc"), "--max-dim", "6")
     assert res.returncode == 0
     assert "verdict: all routes agree" in res.stdout
+
+
+@pytest.mark.parametrize("target", [(), ("--target", "spheres", "--dims", "1,1,1,1")],
+                         ids=["cp", "spheres"])
+@pytest.mark.parametrize("sub", ["decompose", "check"])
+def test_max_dim_zero_is_empty(fixtures_dir, sub, target):
+    res = run_cli(sub, str(fixtures_dir / "K1.sc"), "--max-dim", "0", *target)
+    assert res.returncode == 0
+    assert res.stderr == ""
+    expected = {
+        "decompose": "Z_K ~ contractible (truncated)\n",
+        "check": "verdict: all routes agree\n",
+    }
+    assert res.stdout == expected[sub]
 
 
 def test_json_output_is_deterministic(fixtures_dir):

@@ -20,10 +20,6 @@ from momentangle.complexes import (
 )
 
 
-def mf_list(K):
-    return [m.vertices for m in missing_faces(K)]
-
-
 def test_downward_closure():
     K = SimplicialComplex.from_faces(4, [(1, 2, 3)])
     assert (1, 2) in K and (2, 3) in K and (4,) in K
@@ -31,15 +27,15 @@ def test_downward_closure():
 
 
 def test_missing_faces_K1(K1):
-    assert mf_list(K1) == [(3, 4), (1, 2, 3), (1, 2, 4)]
+    assert missing_faces(K1) == [(3, 4), (1, 2, 3), (1, 2, 4)]
 
 
 def test_missing_faces_K2(K2):
-    assert mf_list(K2) == [(2, 4), (3, 4), (1, 2, 3)]
+    assert missing_faces(K2) == [(2, 4), (3, 4), (1, 2, 3)]
 
 
 def test_missing_faces_K3(K3):
-    assert mf_list(K3) == [(2, 5), (3, 4), (4, 5), (1, 2, 3), (1, 2, 4), (1, 3, 5)]
+    assert missing_faces(K3) == [(2, 5), (3, 4), (4, 5), (1, 2, 3), (1, 2, 4), (1, 3, 5)]
 
 
 def test_mf_complex_classification(K1, K2, K3):
@@ -77,7 +73,7 @@ def test_shifted_search_bound(K3):
 
 def test_k2_uncovered_face_is_exactly_14(K2):
     covered = set()
-    mfs = [set(m.vertices) for m in missing_faces(K2)]
+    mfs = [set(m) for m in missing_faces(K2)]
     for face in K2.faces:
         if any(set(face) < m for m in mfs):
             covered.add(face)
@@ -91,7 +87,7 @@ def test_maximal_faces(K1):
 def test_skeleton_complex():
     K = skeleton_complex(4, 2)
     assert max(len(f) for f in K.faces) == 2
-    assert mf_list(K) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert missing_faces(K) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     assert is_mf_complex(K) == (True, None)
     with pytest.raises(ComplexError):
         skeleton_complex(4, 4)
@@ -116,7 +112,7 @@ def test_parse_line_grammar():
 
 def test_parse_semicolons():
     K = parse_complex("vertices:4; face:1 2; face:1 3; face:1 4; face:2 3; face:2 4")
-    assert mf_list(K) == [(3, 4), (1, 2, 3), (1, 2, 4)]
+    assert missing_faces(K) == [(3, 4), (1, 2, 3), (1, 2, 4)]
 
 
 def test_parse_json_document():
@@ -176,17 +172,17 @@ def test_missing_faces_relabel_invariance(K, rnd):
     rnd.shuffle(shuffled)
     perm = dict(zip(verts, shuffled))
     relabeled = K.relabel(perm)
-    original = {m.vertices for m in missing_faces(K)}
+    original = set(missing_faces(K))
     mapped = {tuple(sorted(perm[v] for v in m)) for m in original}
-    assert {m.vertices for m in missing_faces(relabeled)} == mapped
+    assert set(missing_faces(relabeled)) == mapped
 
 
 @settings(max_examples=60, deadline=None)
 @given(complexes())
 def test_missing_faces_are_minimal_nonfaces(K):
     for m in missing_faces(K):
-        assert m.vertices not in K.faces
-        for sub in itertools.combinations(m.vertices, len(m.vertices) - 1):
+        assert m not in K.faces
+        for sub in itertools.combinations(m, len(m) - 1):
             assert sub in K.faces
 
 
@@ -196,5 +192,5 @@ def test_mf_witness_is_uncovered_maximal_face(K):
     ok, witness = is_mf_complex(K)
     if not ok:
         assert witness in maximal_faces(K)
-        mfs = [set(m.vertices) for m in missing_faces(K)]
+        mfs = [set(m) for m in missing_faces(K)]
         assert not any(set(witness) < m for m in mfs)

@@ -45,6 +45,10 @@ CASES = [
     ("loop_homology_K3.txt", 0, "loop-homology", "K3.sc", ("--max-degree", "11")),
     ("allday_product_121.json", 0, "allday", None,
      ("--dims", "1,2,1", "--model", "product", "--max-degree", "6", "--json")),
+    ("allday_fat_wedge_112_bubenik.txt", 1, "allday", None,
+     ("--dims", "1,1,2", "--max-degree", "10", "--check-bubenik")),
+    ("allday_fat_wedge_2222.json", 0, "allday", None,
+     ("--dims", "2,2,2,2", "--max-degree", "8", "--json")),
 ]
 
 
