@@ -300,7 +300,12 @@ def graded_dimensions(p, max_degree, method="rewriting", budget_words=2_000_000)
 
 
 def _graded_dimensions_linear(p, max_degree, budget_words):
-    words = words_by_degree(p.generator_pairs(), max_degree, budget_words)
+    # Each word is read backwards, which orders each degree by its last
+    # letter first.  The rank kernel pivots on the smallest column; this
+    # numbering keeps its work, and its time from one labeling to the next,
+    # lower and steadier than the lexicographic one.
+    words = [[w[::-1] for w in layer]
+             for layer in words_by_degree(p.generator_pairs(), max_degree, budget_words)]
     dims = [0] * (max_degree + 1)
     dims[0] = 1
     for d in range(1, max_degree + 1):
