@@ -143,10 +143,19 @@ def _parse_complex_json(text):
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ParseError("JSON document must be an object with 'vertices'")
     n = doc["vertices"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError(f"vertex count must be a positive integer, got {n!r}")
     faces = doc.get("faces", [])
+    if not isinstance(faces, list) or not all(
+        isinstance(f, list) and all(map(_is_int, f)) for f in faces
+    ):
+        raise ParseError(f"'faces' must be a list of lists of integers, got {faces!r}")
     return SimplicialComplex.from_faces(n, faces)
+
+
+def _is_int(x):
+    # JSON true/false load as bool, a subclass of int; neither is a vertex.
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def serialize_complex(K):

@@ -289,7 +289,7 @@ def _decompose(K, target, dims, max_dim, budget_words):
     if strict:
         p = build_cp_presentation(K)
     else:
-        p = build_sphere_presentation(K, dims, "polynomial-all")
+        p = build_sphere_presentation(K, dims)
     # The kernel series counts spheres of dimension d + 1 in degree d, so it
     # is needed through degree max_dim − 1; at max_dim 0 it runs to degree
     # 0, where it is zero.
@@ -370,8 +370,8 @@ def decompose_spheres(K, dims, max_dim, budget_words=2_000_000):
     missing face with ≥ 3 vertices, one sphere per nonempty nondecreasing
     multiset over 1..n within the dimension bound.  Part (c) and the route
     reconciliation work as in the cp case, against the sphere-case
-    presentation under the polynomial-all convention, whose series matches
-    the multiset enumeration.  The result is always truncated at ``max_dim``.
+    presentation, whose polynomial abelian part matches the multiset
+    enumeration.  The result is always truncated at ``max_dim``.
     """
     return _decompose(K, "spheres", tuple(dims), max_dim, budget_words)
 

@@ -3,15 +3,17 @@
 Two families of presentations are built from the missing-face data of a
 complex: the cp-case (all coordinate generators in degree 1, bracket
 generators in even degree) and the sphere-case (coordinate generator i in
-degree m_i).  Graded dimensions of the presented algebras are computed by
-degree-truncated rewriting, with a direct linear-algebra route as an
-independent oracle, and the kernel-generator series is extracted from the
-factorization total = abelian · 1/(1−g).
+degree m_i).  The target alone fixes the abelian part: the loop homology
+of CP^∞ is exterior on one class of degree 1, that of S^{m+1} is the
+polynomial algebra on one class of degree m, for every m.  Graded
+dimensions of the presented algebras are computed by degree-truncated
+rewriting, with a direct linear-algebra route as an independent oracle,
+and the kernel-generator series is extracted from the factorization
+total = abelian · 1/(1−g).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,9 +32,6 @@ from .tensor import TensorElement, words_by_degree
 
 class PresentationError(ValueError):
     """Invalid presentation request."""
-
-
-CONVENTIONS = ("exterior-on-odd", "polynomial-all")
 
 
 def b_name(i):
@@ -56,21 +55,10 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class BracketGenerator:
-    """One iterated bracket [[u_sigma, b_{j_1}], ..., b_{j_l}]."""
-
-    sigma: tuple
-    js: tuple
-    degree: int
-    flavor: str  # "multiset" (repeats allowed) or "strict" (subset of the complement)
-
-
-@dataclass(frozen=True)
 class Presentation:
     generators: tuple
     relations: tuple
     target: str  # "cp-case" or "sphere-case"
-    convention: str
 
     @cached_property
     def degree_map(self):
@@ -89,7 +77,6 @@ class Presentation:
     def to_json_dict(self):
         return {
             "target": self.target,
-            "convention": self.convention,
             "generators": [
                 {
                     "name": g.name,
@@ -108,11 +95,6 @@ class Presentation:
                 for rel in self.relations
             ],
         }
-
-
-def _check_convention(convention):
-    if convention not in CONVENTIONS:
-        raise PresentationError(f"unknown convention {convention!r}")
 
 
 def _edges(K):
@@ -151,20 +133,19 @@ def build_cp_presentation(K):
         generators=tuple(gens),
         relations=tuple(rels),
         target="cp-case",
-        convention="exterior-on-odd",
     )
 
 
-def build_sphere_presentation(K, dims, convention="exterior-on-odd"):
+def build_sphere_presentation(K, dims):
     """Loop-homology presentation with coordinate target i a sphere S^{m_i+1}.
 
     Generators: b_i of degree m_i and u_sigma of degree N_sigma for each
     missing face with ≥ 3 vertices.  Relations: graded commutators
-    [b_i, b_j] for the edges of K; under exterior-on-odd additionally
-    [b_i, b_i] = 2b_i² for odd-degree b_i.  Bracket generators satisfy no
+    [b_i, b_j] for the edges of K, and nothing else.  Each b_i generates
+    H_*(ΩS^{m_i+1}) = Q[b_i], a polynomial algebra whatever the parity of
+    m_i, so no b_i² relation is imposed; bracket generators satisfy no
     relations.
     """
-    _check_convention(convention)
     dims = tuple(dims)
     if len(dims) != K.n:
         raise PresentationError(f"expected {K.n} sphere parameters, got {len(dims)}")
@@ -172,10 +153,6 @@ def build_sphere_presentation(K, dims, convention="exterior-on-odd"):
         raise PresentationError(f"all sphere parameters must be >= 1, got {dims}")
     gens = [Generator(b_name(i), dims[i - 1], ("coordinate", i)) for i in range(1, K.n + 1)]
     rels = []
-    if convention == "exterior-on-odd":
-        for i in range(1, K.n + 1):
-            if dims[i - 1] % 2 == 1:
-                rels.append(TensorElement.term((b_name(i), b_name(i)), 2))
     for i, j in _edges(K):
         sign = -1 if (dims[i - 1] * dims[j - 1]) % 2 == 0 else 1
         rel = TensorElement.term((b_name(i), b_name(j)))
@@ -189,24 +166,18 @@ def build_sphere_presentation(K, dims, convention="exterior-on-odd"):
         generators=tuple(gens),
         relations=tuple(rels),
         target="sphere-case",
-        convention=convention,
     )
 
 
 def abelian_series(p, max_degree):
-    """Series of the free graded-commutative algebra on p's coordinate part."""
+    """Series of the abelian algebra on p's coordinate generators.
+
+    The target fixes it: exterior on the degree-1 classes of the cp-case,
+    polynomial on every class of the sphere-case.
+    """
     gens = [(g.degree, 1) for g in p.generators if g.label[0] == "coordinate"]
-    return free_gc_series(gens, p.convention, max_degree)
-
-
-def _big_missing_faces(K):
-    mfs = missing_faces(K)
-    for sigma in mfs:
-        if len(sigma) == 2:
-            raise PresentationError(
-                f"2-vertex missing face {sigma} present; use the series route"
-            )
-    return mfs
+    convention = "exterior-on-odd" if p.target == "cp-case" else "polynomial-all"
+    return free_gc_series(gens, convention, max_degree)
 
 
 def bracket_lists(sigma, n, grading, max_dim, strict):
@@ -235,45 +206,6 @@ def bracket_lists(sigma, n, grading, max_dim, strict):
             if child_dim <= max_dim:
                 children.append((js + (letters[t],), child_dim, t + step))
         stack.extend(reversed(children))
-
-
-def enumerate_R_tilde(K):
-    """Bracket generators with strictly increasing indices from J_sigma.
-
-    Requires every missing face to have ≥ 3 vertices.  Degrees use the
-    cp-case grading (b's in degree 1).
-    """
-    ones = (1,) * K.n
-    out = []
-    for sigma in _big_missing_faces(K):
-        out.append(BracketGenerator(sigma, (), 2 * len(sigma) - 2, "strict"))
-        out.extend(
-            BracketGenerator(sigma, js, dim - 1, "strict")
-            for js, dim in bracket_lists(sigma, K.n, ones, math.inf, strict=True)
-        )
-    out.sort(key=lambda g: (g.degree, g.sigma, g.js))
-    return out
-
-
-def enumerate_R(K, dims, max_degree):
-    """Bracket generators with nondecreasing multiset indices over 1..n.
-
-    Requires every missing face to have ≥ 3 vertices.  Degrees use the
-    sphere-case grading: N_sigma plus the sum of the m_{j_t}.
-    """
-    dims = tuple(dims)
-    out = []
-    for sigma in _big_missing_faces(K):
-        base = n_sigma(sigma, dims)
-        if base > max_degree:
-            continue
-        out.append(BracketGenerator(sigma, (), base, "multiset"))
-        out.extend(
-            BracketGenerator(sigma, js, dim - 1, "multiset")
-            for js, dim in bracket_lists(sigma, K.n, dims, max_degree + 1, strict=False)
-        )
-    out.sort(key=lambda g: (g.degree, g.sigma, g.js))
-    return out
 
 
 def rewriting_system(p, max_degree, budget_words=2_000_000):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentangle.allday import (
-    DGAModel,
     ModelError,
     a_element,
     build_fat_wedge_model,
@@ -16,7 +15,6 @@ from momentangle.allday import (
     homology_series,
 )
 from momentangle.series import TruncatedSeries, free_gc_series, geometric_series
-from momentangle.tensor import TensorElement
 
 
 def test_generator_degree():
@@ -88,15 +86,15 @@ def test_d_squared_sweep_small():
                 assert ok, (dims, build.__name__, witness)
 
 
-def test_d_squared_detects_corrupted_sign():
-    model = build_product_model((1, 1, 1))
-    bad = dict(model.differential)
-    corrupted = TensorElement(bad[(1, 2)])
-    corrupted[((1,), (2,))] = -corrupted[((1,), (2,))]
-    bad[(1, 2)] = corrupted
-    broken = DGAModel(dims=model.dims, generators=model.generators, differential=bad)
-    ok, witness = check_d_squared(broken, 12)
+def test_d_squared_detects_corrupted_sign(corrupted_model):
+    ok, witness = check_d_squared(corrupted_model, 12)
     assert not ok and witness is not None
+
+
+def test_homology_series_refuses_corrupted_model(corrupted_model):
+    # homology_series runs the d^2 certificate itself before it counts.
+    with pytest.raises(ModelError, match="does not square to zero"):
+        homology_series(corrupted_model, 6)
 
 
 def test_homology_free_tensor_n2():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from momentangle import cli
 from momentangle.cli import main
 
 
@@ -95,6 +96,34 @@ def test_loop_homology_json(fixtures_dir):
     assert doc["kernel_generator_series"] == [0, 0, 1, 0, 2, 2]
 
 
+@pytest.mark.parametrize(
+    "fixture,dims",
+    [("K1.sc", "1,1,1,1"), ("K1.sc", "1,2,1,2"), ("K3.sc", "1,1,1,1,1"),
+     ("tri.sc", "1,2,1"), ("pair.sc", "1,1")],
+)
+def test_sphere_loop_homology_kernel_counts_decomposition(fixtures_dir, capsys, fixture, dims):
+    # H_*(ΩS^{m+1}) is polynomial for every m, so the kernel series of the
+    # sphere-target presentation counts the decomposition's spheres: degree
+    # d against dimension d + 1.
+    path = str(fixtures_dir / fixture)
+    D = 9
+    assert main(["loop-homology", path, "--target", "spheres", "--dims", dims,
+                 "--max-degree", str(D), "--json"]) == 0
+    kernel = json.loads(capsys.readouterr().out)["kernel_generator_series"]
+    assert main(["decompose", path, "--target", "spheres", "--dims", dims,
+                 "--max-dim", str(D + 1), "--json"]) == 0
+    spheres = {s["dimension"]: s["count"]
+               for s in json.loads(capsys.readouterr().out)["summands"]}
+    assert kernel == [spheres.get(d + 1, 0) for d in range(D + 1)]
+
+
+def test_loop_homology_has_no_convention_option(fixtures_dir):
+    res = run_cli("loop-homology", str(fixtures_dir / "K1.sc"), "--target", "spheres",
+                  "--dims", "1,1,1,1", "--convention", "polynomial-all")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --convention" in res.stderr
+
+
 def test_loop_homology_deep_degree(fixtures_dir, capsys):
     # Two vertices and no edge: the normal words alternate b1, b2, so the
     # count reaches degree 1100 without a recursion 1100 calls deep.
@@ -120,6 +149,18 @@ def test_allday_deep_degree_is_budgeted():
     assert res.returncode == 3
     assert "budget exhausted" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_allday_failed_certificate_is_precondition_error(monkeypatch, capsys,
+                                                         corrupted_model):
+    # The CLI prints "d^2=0: ok" only after homology_series has certified
+    # it; a model that fails the certificate exits 3 with the witness.
+    monkeypatch.setattr(cli, "build_fat_wedge_model", lambda dims: corrupted_model)
+    code = main(["allday", "--dims", "1,1,1", "--max-degree", "6"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "does not square to zero, witness" in captured.err
 
 
 def test_allday_product_model():
@@ -174,6 +215,29 @@ def test_parse_error_exit_code(tmp_path):
     assert "error" in res.stderr
 
 
+@pytest.mark.parametrize("sub", ["analyze", "decompose"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"vertices": 3, "faces": 5}',
+        '{"vertices": 3, "faces": [[1, "a"]]}',
+        '{"vertices": 3, "faces": [[1.5, 2]]}',
+        '{"vertices": 3, "faces": [[1, true]]}',
+        '{"vertices": 3, "faces": [7]}',
+        '{"vertices": true, "faces": []}',
+    ],
+    ids=["faces-int", "face-str", "face-float", "face-bool", "face-int", "vertices-bool"],
+)
+def test_malformed_json_complex_is_parse_error(tmp_path, sub, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    res = run_cli(sub, str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_missing_file_exit_code(tmp_path):
     res = run_cli("analyze", str(tmp_path / "absent.sc"))
     assert res.returncode == 2
@@ -198,8 +262,10 @@ def test_budget_exit_code(fixtures_dir):
         ("loop-homology", "K1.sc", "--max-degree", "-1"),
         ("decompose", "K1.sc", "--max-dim", "-1"),
         ("allday", "--dims", "1,1", "--max-degree", "-1"),
+        ("decompose", "K1.sc", "--budget-words", "-1"),
+        ("analyze", "K1.sc", "--shift-search-bound", "-5"),
     ],
-    ids=["loop-homology", "decompose", "allday"],
+    ids=["loop-homology", "decompose", "allday", "budget-words", "shift-search-bound"],
 )
 def test_negative_bound_is_usage_error(fixtures_dir, args):
     args = [str(fixtures_dir / a) if a.endswith(".sc") else a for a in args]

@@ -1,19 +1,20 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle.complexes import SimplicialComplex, skeleton_complex
+from momentangle.complexes import SimplicialComplex, missing_faces, skeleton_complex
 from momentangle.presentations import (
-    BracketGenerator,
     Generator,
     Presentation,
     PresentationError,
     abelian_series,
     b_name,
+    bracket_lists,
     build_cp_presentation,
     build_sphere_presentation,
-    enumerate_R,
-    enumerate_R_tilde,
     graded_dimensions,
     kernel_generator_series,
     n_sigma,
@@ -45,14 +46,21 @@ def test_cp_presentation_two_vertex_faces_get_no_generator(K1):
 
 
 def test_sphere_presentation_structure(K1):
+    # The abelian part is polynomial for every sphere parameter, odd or
+    # even: 5 edge commutators and no squares, no u-relations.
+    for dims in ((1, 1, 1, 1), (2, 2, 2, 2)):
+        p = build_sphere_presentation(K1, dims)
+        assert len(p.relations) == 5
+        assert all(len(set(next(iter(r)))) == 2 for r in p.relations)
     p = build_sphere_presentation(K1, (1, 1, 1, 1))
     u_gens = [g for g in p.generators if g.label[0] == "higher"]
     assert [(g.name, g.degree) for g in u_gens] == [("u(1,2,3)", 4), ("u(1,2,4)", 4)]
-    # exterior-on-odd: 4 squares + 5 edge commutators, no u-relations
-    assert len(p.relations) == 9
-    poly = build_sphere_presentation(K1, (2, 2, 2, 2), "polynomial-all")
-    assert len(poly.relations) == 5
     assert n_sigma((1, 2, 3), (2, 2, 2, 2)) == 7
+
+
+def test_sphere_abelian_part_is_polynomial(K1):
+    p = build_sphere_presentation(K1, (1, 2, 1, 2))
+    assert abelian_series(p, 6) == free_gc_series([(1, 2), (2, 2)], "polynomial-all", 6)
 
 
 def test_sphere_presentation_validation(K1):
@@ -60,8 +68,6 @@ def test_sphere_presentation_validation(K1):
         build_sphere_presentation(K1, (1, 1, 1))
     with pytest.raises(PresentationError):
         build_sphere_presentation(K1, (1, 1, 1, 0))
-    with pytest.raises(PresentationError):
-        build_sphere_presentation(K1, (1, 1, 1, 1), "bogus")
 
 
 def test_graded_dimensions_K1(K1):
@@ -84,7 +90,6 @@ def test_graded_dimensions_one_generator_square():
         generators=(Generator("x", 1, ("coordinate", 1)),),
         relations=(TensorElement.term(("x", "x")),),
         target="cp-case",
-        convention="exterior-on-odd",
     )
     assert graded_dimensions(p, 5).coeffs == (1, 1, 0, 0, 0, 0)
 
@@ -137,52 +142,58 @@ def test_kernel_generator_series_failure():
     assert err.value.degree >= 1
 
 
+def sphere_counts(K, grading, max_dim, strict):
+    """Sphere dimensions of the bracket set R̃ (``strict``) or R, as a Counter.
+
+    Lists w_sigma and, through ``bracket_lists``, its brackets for every
+    missing face of K; the complexes used here have none with 2 vertices.
+    A loop degree is the sphere dimension minus one.
+    """
+    counts = Counter()
+    for sigma in missing_faces(K):
+        assert len(sigma) >= 3
+        t = len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
+        if t <= max_dim:
+            counts[t] += 1
+        for js, dim in bracket_lists(sigma, K.n, grading, max_dim, strict):
+            if strict:
+                assert list(js) == sorted(set(js)) and not set(js) & set(sigma)
+            else:
+                assert list(js) == sorted(js)
+            counts[dim] += 1
+    return counts
+
+
 def test_enumerate_R_tilde_skeleton42():
-    gens = enumerate_R_tilde(skeleton_complex(4, 2))
-    by_degree = {}
-    for g in gens:
-        by_degree[g.degree] = by_degree.get(g.degree, 0) + 1
-    assert by_degree == {4: 4, 5: 4}
-    assert all(g.flavor == "strict" for g in gens)
+    assert sphere_counts(skeleton_complex(4, 2), (1,) * 4, math.inf, True) == {5: 4, 6: 4}
 
 
 def test_enumerate_R_tilde_skeleton_n1():
-    gens = enumerate_R_tilde(skeleton_complex(5, 1))
-    assert len(gens) == 1 and gens[0].degree == 8 and gens[0].js == ()
-
-
-def test_enumerate_R_tilde_rejects_2_vertex_faces(K1):
-    with pytest.raises(PresentationError):
-        enumerate_R_tilde(K1)
+    # One missing face, the whole vertex set: its complement is empty.
+    sigma = (1, 2, 3, 4, 5)
+    assert missing_faces(skeleton_complex(5, 1)) == [sigma]
+    assert list(bracket_lists(sigma, 5, (1,) * 5, math.inf, strict=True)) == []
+    assert sphere_counts(skeleton_complex(5, 1), (1,) * 5, math.inf, True) == {9: 1}
 
 
 def test_enumerate_R_triangle():
     tri = SimplicialComplex.from_faces(3, [(1, 2), (1, 3), (2, 3)])
-    gens = enumerate_R(tri, (1, 1, 1), 7)
-    by_degree = {}
-    for g in gens:
-        by_degree[g.degree] = by_degree.get(g.degree, 0) + 1
-    assert by_degree == {4: 1, 5: 3, 6: 6, 7: 10}
-    gens2 = enumerate_R(tri, (2, 2, 2), 11)
-    assert {g.degree for g in gens2} == {7, 9, 11}
-    assert sum(1 for g in gens2 if g.degree == 11) == 6
-    assert enumerate_R(tri, (1, 1, 1), 3) == []
+    assert sphere_counts(tri, (1, 1, 1), 8, False) == {5: 1, 6: 3, 7: 6, 8: 10}
+    counts = sphere_counts(tri, (2, 2, 2), 12, False)
+    assert set(counts) == {8, 10, 12} and counts[12] == 6
+    assert sphere_counts(tri, (1, 1, 1), 4, False) == {}
 
 
 def test_enumerate_R_matches_generating_function():
     dims = (1, 2, 3)
     D = 12
-    big = SimplicialComplex.from_faces(
-        3, [(1, 2), (1, 3), (2, 3)]
-    )  # single missing face (1,2,3)
-    gens = enumerate_R(big, dims[:3], D)
-    series = TruncatedSeries.monomial(n_sigma((1, 2, 3), dims[:3]), D)
-    for m in dims[:3]:
+    tri = SimplicialComplex.from_faces(3, [(1, 2), (1, 3), (2, 3)])  # missing face (1,2,3)
+    # Sphere dimension = loop degree + 1.
+    counts = sphere_counts(tri, dims, D + 1, False)
+    series = TruncatedSeries.monomial(n_sigma((1, 2, 3), dims), D)
+    for m in dims:
         series = series * geometric_series(TruncatedSeries.monomial(m, D))
-    counts = [0] * (D + 1)
-    for g in gens:
-        counts[g.degree] += 1
-    assert tuple(counts) == series.coeffs
+    assert tuple(counts[d + 1] for d in range(D + 1)) == series.coeffs
 
 
 def _normal_form_calculator(K):
@@ -243,11 +254,8 @@ def test_factorization_invariant_for_pure_complexes():
         D = 8
         total = graded_dimensions(p, D)
         g = kernel_generator_series(total, abelian_series(p, D))
-        counts = [0] * (D + 1)
-        for gen in enumerate_R_tilde(K):
-            if gen.degree <= D:
-                counts[gen.degree] += 1
-        assert g.coeffs == tuple(counts)
+        counts = sphere_counts(K, (1,) * K.n, D + 1, True)
+        assert g.coeffs == tuple(counts[d + 1] for d in range(D + 1))
 
 
 def test_presentation_json_roundtrips(K1):

@@ -93,8 +93,7 @@ def test_series_deep_degree_does_not_recurse():
 def presentation(degrees, relations):
     generators = tuple(Generator(x, d, ("coordinate", i))
                        for i, (x, d) in enumerate(degrees.items(), start=1))
-    return Presentation(generators, tuple(map(TensorElement, relations)),
-                        "cp-case", "exterior-on-odd")
+    return Presentation(generators, tuple(map(TensorElement, relations)), "cp-case")
 
 
 @st.composite
