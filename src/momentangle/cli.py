@@ -74,7 +74,7 @@ def _parse_dims(text, n=None):
 
 
 def _nonnegative_int(text):
-    """argparse type for degree, dimension, budget and search bounds."""
+    """argparse type for degree, dimension and budget bounds."""
     try:
         value = int(text)
     except ValueError:
@@ -114,10 +114,7 @@ def cmd_analyze(args):
     mfs = missing_faces(K)
     ok, witness = is_mf_complex(K)
     shifted_id = is_shifted(K, tuple(range(1, K.n + 1)))
-    shifted_any = None
-    ordering = None
-    if K.n <= args.shift_search_bound:
-        shifted_any, ordering = is_shifted_any(K, args.shift_search_bound)
+    shifted_any, ordering = is_shifted_any(K)
     doc = {
         "vertices": K.n,
         "face_counts": {str(k): v for k, v in K.face_counts().items()},
@@ -136,9 +133,7 @@ def cmd_analyze(args):
         "MF-complex: " + ("yes" if ok else f"no (witness face ({','.join(map(str, witness))}))"),
         f"shifted(identity): {'yes' if shifted_id else 'no'}",
     ]
-    if shifted_any is None:
-        lines.append(f"shifted(any): skipped (n > {args.shift_search_bound})")
-    elif shifted_any:
+    if shifted_any:
         lines.append("shifted(any): yes (ordering " + " ".join(map(str, ordering)) + ")")
     else:
         lines.append("shifted(any): no")
@@ -288,8 +283,6 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="classify a complex")
     common(p, budget=False)
-    p.add_argument("--shift-search-bound", type=_nonnegative_int, default=8,
-                   help="max n for the exhaustive shiftedness search")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("decompose", help="sphere-wedge decomposition")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -118,15 +119,7 @@ def parse_complex(text):
                     verts = tuple(int(tok) for tok in value.split())
                 except ValueError:
                     raise ParseError(f"bad face {value!r}", lineno) from None
-                if not verts:
-                    raise ParseError("empty face declaration", lineno)
-                for v in verts:
-                    if not (1 <= v <= n):
-                        raise ParseError(
-                            f"vertex index {v} out of range 1..{n}", lineno
-                        )
-                if len(set(verts)) != len(verts):
-                    raise ParseError(f"face {verts} repeats a vertex", lineno)
+                _check_face(verts, n, lineno)
                 faces.append(verts)
             else:
                 raise ParseError(f"unknown declaration {key!r}", lineno)
@@ -150,7 +143,20 @@ def _parse_complex_json(text):
         isinstance(f, list) and all(map(_is_int, f)) for f in faces
     ):
         raise ParseError(f"'faces' must be a list of lists of integers, got {faces!r}")
+    for face in faces:
+        _check_face(tuple(face), n)
     return SimplicialComplex.from_faces(n, faces)
+
+
+def _check_face(verts, n, line=None):
+    """Refuse an empty face, a vertex outside 1..n and a repeated vertex."""
+    if not verts:
+        raise ParseError("empty face", line)
+    for v in verts:
+        if not (1 <= v <= n):
+            raise ParseError(f"vertex index {v} out of range 1..{n}", line)
+    if len(set(verts)) != len(verts):
+        raise ParseError(f"face {verts} repeats a vertex", line)
 
 
 def _is_int(x):
@@ -252,20 +258,20 @@ def is_shifted(K, ordering):
     return True
 
 
-def is_shifted_any(K, search_bound=8):
-    """Exhaustively search for an ordering making K shifted.
+def is_shifted_any(K):
+    """Whether some vertex ordering makes K shifted.
 
-    Returns ``(True, ordering)`` for the first witness in lexicographic
-    order, or ``(False, None)``.
+    K is shifted for an ordering exactly when each vertex dominates every
+    later one: putting it in place of a later vertex keeps every face a
+    face.  Domination is transitive, and a dominating vertex lies in at
+    least as many faces, with equality only when the two vertices dominate
+    each other.  So one ordering decides: decreasing face count, ties broken
+    by label, which is also the lexicographically first witness.  Returns
+    ``(True, ordering)`` or ``(False, None)``.
     """
-    if K.n > search_bound:
-        raise ComplexError(
-            f"n={K.n} exceeds the permutation search bound {search_bound}"
-        )
-    for perm in itertools.permutations(range(1, K.n + 1)):
-        if is_shifted(K, perm):
-            return True, perm
-    return False, None
+    count = Counter(v for face in K.faces for v in face)
+    ordering = tuple(sorted(range(1, K.n + 1), key=lambda v: (-count[v], v)))
+    return (True, ordering) if is_shifted(K, ordering) else (False, None)
 
 
 def skeleton_complex(n, k):

@@ -36,7 +36,7 @@ from .complexes import (
 from .linalg import IncrementalRank
 from .presentations import (
     abelian_series,
-    b_name,
+    b_element,
     bracket_lists,
     build_cp_presentation,
     build_sphere_presentation,
@@ -44,7 +44,7 @@ from .presentations import (
     rewriting_system,
 )
 from .series import TruncatedSeries
-from .tensor import TensorElement, commutator
+from .tensor import commutator
 
 
 @dataclass(frozen=True)
@@ -171,16 +171,6 @@ def _composition_counts(base, ms, max_dim, strict):
     return {base + tot: c for tot, c in counts.items()}
 
 
-def _derived_u_element(sigma, p):
-    """Graded commutator of the two coordinate generators of a 2-vertex face."""
-    i1, i2 = sigma
-    return commutator(
-        TensorElement.term((b_name(i1),)),
-        TensorElement.term((b_name(i2),)),
-        p.degree_of,
-    )
-
-
 def _integer_row(nf, index):
     """Map a normal form to a sparse integer row over the word index."""
     denom = 1
@@ -203,14 +193,13 @@ def _bracket_normal_forms(sigma, candidates, p, rs):
     bracket's degree; so each bracket is reduced from its parent's normal
     form, starting from the unreduced [b_i1, b_i2].
     """
-    nfs = {(): _derived_u_element(sigma, p)}
+    nfs = {(): commutator(b_element(sigma[0]), b_element(sigma[1]), p.degree_of)}
     for js, dim in candidates:
         parent = nfs[js[:-1]]
         if parent.is_zero():
             nf = parent
         else:
-            b = TensorElement.term((b_name(js[-1]),))
-            nf = rs.normal_form(commutator(parent, b, p.degree_of))
+            nf = rs.normal_form(commutator(parent, b_element(js[-1]), p.degree_of))
         nfs[js] = nf
         yield js, dim, nf
 

@@ -1,15 +1,14 @@
 """Presented graded algebras attached to a simplicial complex.
 
-Two families of presentations are built from the missing-face data of a
-complex: the cp-case (all coordinate generators in degree 1, bracket
-generators in even degree) and the sphere-case (coordinate generator i in
-degree m_i).  The target alone fixes the abelian part: the loop homology
-of CP^∞ is exterior on one class of degree 1, that of S^{m+1} is the
-polynomial algebra on one class of degree m, for every m.  Graded
-dimensions of the presented algebras are computed by degree-truncated
-rewriting, with a direct linear-algebra route as an independent oracle,
-and the kernel-generator series is extracted from the factorization
-total = abelian · 1/(1−g).
+One builder makes the presentation from the missing-face data of a
+complex, in two cases: the sphere-case (coordinate generator i in degree
+m_i) and the cp-case, which is the all-ones grading.  The target alone
+fixes the abelian part: the loop homology of CP^∞ is exterior on one class
+of degree 1, that of S^{m+1} is the polynomial algebra on one class of
+degree m, for every m.  Graded dimensions of the presented algebras are
+computed by degree-truncated rewriting, with a direct linear-algebra route
+as an independent oracle, and the kernel-generator series is extracted
+from the factorization total = abelian · 1/(1−g).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .series import (
     series_div_exact,
 )
 from .rewriting import RewritingSystem
-from .tensor import TensorElement, words_by_degree
+from .tensor import TensorElement, commutator, words_by_degree
 
 
 class PresentationError(ValueError):
@@ -36,6 +35,11 @@ class PresentationError(ValueError):
 
 def b_name(i):
     return f"b{i}"
+
+
+def b_element(i):
+    """The coordinate generator b_i as a one-word element."""
+    return TensorElement.term((b_name(i),))
 
 
 def u_name(sigma):
@@ -97,10 +101,6 @@ class Presentation:
         }
 
 
-def _edges(K):
-    return sorted(f for f in K.faces if len(f) == 2)
-
-
 def build_cp_presentation(K):
     """Loop-homology presentation with all coordinate targets in degree 1.
 
@@ -111,29 +111,7 @@ def build_cp_presentation(K):
     the derived element b_i b_j + b_j b_i, and its bracket consequences
     hold automatically in the quotient.
     """
-    n = K.n
-    gens = [Generator(b_name(i), 1, ("coordinate", i)) for i in range(1, n + 1)]
-    rels = []
-    for i in range(1, n + 1):
-        rels.append(TensorElement.term((b_name(i), b_name(i))))
-    for i, j in _edges(K):
-        rel = TensorElement.term((b_name(i), b_name(j)))
-        rel.add_term((b_name(j), b_name(i)), 1)
-        rels.append(rel)
-    for sigma in missing_faces(K):
-        if len(sigma) < 3:
-            continue
-        u = u_name(sigma)
-        gens.append(Generator(u, 2 * len(sigma) - 2, ("higher", sigma)))
-        for j in sigma:
-            rel = TensorElement.term((u, b_name(j)))
-            rel.add_term((b_name(j), u), -1)
-            rels.append(rel)
-    return Presentation(
-        generators=tuple(gens),
-        relations=tuple(rels),
-        target="cp-case",
-    )
+    return _build_presentation(K, (1,) * K.n, exterior=True)
 
 
 def build_sphere_presentation(K, dims):
@@ -151,21 +129,32 @@ def build_sphere_presentation(K, dims):
         raise PresentationError(f"expected {K.n} sphere parameters, got {len(dims)}")
     if any(m < 1 for m in dims):
         raise PresentationError(f"all sphere parameters must be >= 1, got {dims}")
-    gens = [Generator(b_name(i), dims[i - 1], ("coordinate", i)) for i in range(1, K.n + 1)]
-    rels = []
-    for i, j in _edges(K):
-        sign = -1 if (dims[i - 1] * dims[j - 1]) % 2 == 0 else 1
-        rel = TensorElement.term((b_name(i), b_name(j)))
-        rel.add_term((b_name(j), b_name(i)), sign)
-        rels.append(rel)
-    for sigma in missing_faces(K):
-        if len(sigma) < 3:
-            continue
-        gens.append(Generator(u_name(sigma), n_sigma(sigma, dims), ("higher", sigma)))
+    return _build_presentation(K, dims, exterior=False)
+
+
+def _build_presentation(K, grading, exterior):
+    """Both presentations: b_i in degree ``grading[i-1]``, then the u_sigma.
+
+    Relations, in order: b_i² for every i when the abelian part is
+    ``exterior`` (the cp-case), the graded commutator [b_i, b_j] for each
+    edge of K, and, again only when ``exterior``, [u_sigma, b_j] for
+    j ∈ sigma.  Every sign comes from ``commutator``.
+    """
+    gens = [Generator(b_name(i), m, ("coordinate", i)) for i, m in enumerate(grading, 1)]
+    higher = [sigma for sigma in missing_faces(K) if len(sigma) >= 3]
+    gens += [Generator(u_name(sigma), n_sigma(sigma, grading), ("higher", sigma))
+             for sigma in higher]
+    degree_of = {g.name: g.degree for g in gens}.get
+    rels = [b_element(i) * b_element(i) for i in range(1, K.n + 1)] if exterior else []
+    rels += [commutator(b_element(i), b_element(j), degree_of)
+             for i, j in sorted(f for f in K.faces if len(f) == 2)]
+    if exterior:
+        rels += [commutator(TensorElement.term((u_name(sigma),)), b_element(j), degree_of)
+                 for sigma in higher for j in sigma]
     return Presentation(
         generators=tuple(gens),
         relations=tuple(rels),
-        target="sphere-case",
+        target="cp-case" if exterior else "sphere-case",
     )
 
 
@@ -242,21 +231,24 @@ def _graded_dimensions_linear(p, max_degree, budget_words):
     dims[0] = 1
     for d in range(1, max_degree + 1):
         index = {w: i for i, w in enumerate(words[d])}
-        rows = []
-        for rel in p.relations:
-            r = p.relation_degree(rel)
-            if r > d:
-                continue
-            for a in range(d - r + 1):
-                for x in words[a]:
-                    for y in words[d - r - a]:
-                        row = {}
-                        for w, c in rel.items():
-                            i = index[x + w + y]
-                            row[i] = row.get(i, 0) + c
-                        rows.append(row)
-        dims[d] = len(words[d]) - sparse_rank(rows)
+        dims[d] = len(words[d]) - sparse_rank(_relation_rows(p, words, index, d))
     return TruncatedSeries.from_coeffs(dims, max_degree)
+
+
+def _relation_rows(p, words, index, d):
+    # One row over ``index`` per product x·rel·y of degree d, made as the
+    # rank kernel asks for it, so no degree's rows are held all at once.
+    # Distinct words w of rel give distinct words x·w·y, so no column
+    # repeats within a row.
+    for rel in p.relations:
+        r = p.relation_degree(rel)
+        if r > d:
+            continue
+        terms = list(rel.items())
+        for a in range(d - r + 1):
+            for x in words[a]:
+                for y in words[d - r - a]:
+                    yield {index[x + w + y]: c for w, c in terms}
 
 
 def kernel_generator_series(total, abelian_part):

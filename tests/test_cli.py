@@ -124,6 +124,22 @@ def test_loop_homology_has_no_convention_option(fixtures_dir):
     assert "unrecognized arguments: --convention" in res.stderr
 
 
+def test_analyze_has_no_shift_search_bound_option(fixtures_dir):
+    res = run_cli("analyze", str(fixtures_dir / "K1.sc"), "--shift-search-bound", "8")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --shift-search-bound" in res.stderr
+
+
+def test_analyze_decides_shiftedness_beyond_eight_vertices(tmp_path):
+    # A star centred at 5 on 9 vertices: the centre dominates, the leaves
+    # dominate each other.
+    star = tmp_path / "star9.sc"
+    star.write_text("vertices: 9\n" + "".join(f"face: 5 {j}\n" for j in range(1, 10) if j != 5))
+    res = run_cli("analyze", str(star))
+    assert res.returncode == 0
+    assert "shifted(any): yes (ordering 5 1 2 3 4 6 7 8 9)" in res.stdout
+
+
 def test_loop_homology_deep_degree(fixtures_dir, capsys):
     # Two vertices and no edge: the normal words alternate b1, b2, so the
     # count reaches degree 1100 without a recursion 1100 calls deep.
@@ -225,8 +241,16 @@ def test_parse_error_exit_code(tmp_path):
         '{"vertices": 3, "faces": [[1, true]]}',
         '{"vertices": 3, "faces": [7]}',
         '{"vertices": true, "faces": []}',
+        '{"vertices": 3, "faces": [[1, 5]]}',
+        '{"vertices": 3, "faces": [[1, 1]]}',
+        '{"vertices": 3, "faces": [[]]}',
+        "vertices: 3\nface: 1 5\n",
+        "vertices: 3\nface: 1 1\n",
+        "vertices: 3\nface:\n",
     ],
-    ids=["faces-int", "face-str", "face-float", "face-bool", "face-int", "vertices-bool"],
+    ids=["faces-int", "face-str", "face-float", "face-bool", "face-int", "vertices-bool",
+         "face-out-of-range", "face-repeat", "face-empty",
+         "line-face-out-of-range", "line-face-repeat", "line-face-empty"],
 )
 def test_malformed_json_complex_is_parse_error(tmp_path, sub, doc):
     bad = tmp_path / "bad.json"
@@ -263,9 +287,8 @@ def test_budget_exit_code(fixtures_dir):
         ("decompose", "K1.sc", "--max-dim", "-1"),
         ("allday", "--dims", "1,1", "--max-degree", "-1"),
         ("decompose", "K1.sc", "--budget-words", "-1"),
-        ("analyze", "K1.sc", "--shift-search-bound", "-5"),
     ],
-    ids=["loop-homology", "decompose", "allday", "budget-words", "shift-search-bound"],
+    ids=["loop-homology", "decompose", "allday", "budget-words"],
 )
 def test_negative_bound_is_usage_error(fixtures_dir, args):
     args = [str(fixtures_dir / a) if a.endswith(".sc") else a for a in args]

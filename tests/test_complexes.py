@@ -66,11 +66,6 @@ def test_shifted_bad_ordering(K1):
         is_shifted(K1, (1, 2, 3))
 
 
-def test_shifted_search_bound(K3):
-    with pytest.raises(ComplexError):
-        is_shifted_any(K3, search_bound=4)
-
-
 def test_k2_uncovered_face_is_exactly_14(K2):
     covered = set()
     mfs = [set(m) for m in missing_faces(K2)]
@@ -194,3 +189,12 @@ def test_mf_witness_is_uncovered_maximal_face(K):
         assert witness in maximal_faces(K)
         mfs = [set(m) for m in missing_faces(K)]
         assert not any(set(witness) < m for m in mfs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(complexes())
+def test_shifted_any_matches_permutation_search(K):
+    # The first ordering, in lexicographic order, that makes K shifted.
+    search = next(((True, perm) for perm in itertools.permutations(range(1, K.n + 1))
+                   if is_shifted(K, perm)), (False, None))
+    assert is_shifted_any(K) == search

@@ -1,11 +1,18 @@
+import json
 import math
+import pathlib
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle.complexes import SimplicialComplex, missing_faces, skeleton_complex
+from momentangle.complexes import (
+    SimplicialComplex,
+    missing_faces,
+    parse_complex,
+    skeleton_complex,
+)
 from momentangle.presentations import (
     Generator,
     Presentation,
@@ -259,8 +266,6 @@ def test_factorization_invariant_for_pure_complexes():
 
 
 def test_presentation_json_roundtrips(K1):
-    import json
-
     p = build_cp_presentation(K1)
     doc = p.to_json_dict()
     text = json.dumps(doc)
@@ -268,3 +273,23 @@ def test_presentation_json_roundtrips(K1):
     assert back["target"] == "cp-case"
     assert len(back["generators"]) == 6
     assert len(back["relations"]) == 15
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+RECORDED = pathlib.Path(__file__).parent / "golden" / "presentations.json"
+
+
+def presentation_cases():
+    """(key, presentation): cp and three sphere gradings per fixture."""
+    for name in ("K1", "K2", "K3", "tri", "pair", "skel42"):
+        K = parse_complex((FIXTURES / f"{name}.sc").read_text())
+        yield f"{name} cp", build_cp_presentation(K)
+        for dims in ((1,) * K.n, tuple(1 + i % 2 for i in range(K.n)), (2,) * K.n):
+            key = f"{name} spheres " + ",".join(map(str, dims))
+            yield key, build_sphere_presentation(K, dims)
+
+
+def test_presentations_match_recording():
+    # Generators, degrees, relations and their terms, all in order.
+    got = {key: p.to_json_dict() for key, p in presentation_cases()}
+    assert got == json.loads(RECORDED.read_text())
