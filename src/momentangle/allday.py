@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .complexes import sphere_grading
 from .linalg import sparse_rank
 from .series import (
     SeriesError,
@@ -113,11 +114,9 @@ class DGAModel:
 
 
 def _validate_dims(dims):
-    dims = tuple(dims)
+    dims = sphere_grading(dims)
     if len(dims) < 2:
         raise ModelError(f"need at least two spheres, got dims={dims}")
-    if any(m < 1 for m in dims):
-        raise ModelError(f"all sphere parameters must be >= 1, got {dims}")
     return dims
 
 

@@ -30,16 +30,15 @@ from .complexes import (
     missing_faces,
     parse_complex,
 )
-from .decompose import consistency_report, decompose_cp, decompose_spheres, porter_fnk
+from .decompose import consistency_report, porter_fnk
 from .presentations import (
-    PresentationError,
     abelian_series,
     build_cp_presentation,
     build_sphere_presentation,
     graded_dimensions,
     kernel_generator_series,
 )
-from .series import FactorizationError, SeriesError, TruncatedSeries
+from .series import FactorizationError, SeriesError
 from .tensor import BudgetError
 
 EXIT_OK = 0
@@ -61,16 +60,12 @@ def _read_complex(path):
     return parse_complex(text)
 
 
-def _parse_dims(text, n=None):
+def _dims(text):
+    """argparse type for --dims: comma-separated integers, checked by the library."""
     try:
-        dims = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ComplexError(f"bad --dims value {text!r}") from None
-    if any(m < 1 for m in dims):
-        raise ComplexError(f"sphere parameters must be >= 1, got {dims}")
-    if n is not None and len(dims) != n:
-        raise ComplexError(f"expected {n} sphere parameters, got {len(dims)}")
-    return dims
+        raise argparse.ArgumentTypeError(f"invalid sphere parameters: {text!r}") from None
 
 
 def _nonnegative_int(text):
@@ -98,10 +93,10 @@ def _wedge_text(dec):
     return f"Z_K ~ {body}{suffix}"
 
 
-def _decomposition_lines(dec, target):
+def _decomposition_lines(dec):
     lines = [_wedge_text(dec)]
     for s in dec.summands:
-        label = s.label.text(target) if s.label is not None else f"<{s.provenance}>"
+        label = s.label.text(dec.target) if s.label is not None else f"<{s.provenance}>"
         lines.append(f"S^{s.dimension}: {label}")
     for f in dec.flags:
         routes = " ".join(f"{name}={count}" for name, count in f.routes)
@@ -142,15 +137,9 @@ def cmd_analyze(args):
 
 def cmd_decompose(args):
     K = _read_complex(args.input)
-    if args.target == "cp":
-        dec = decompose_cp(K, args.max_dim, budget_words=args.budget_words)
-    else:
-        if args.dims is None or args.max_dim is None:
-            raise ComplexError("sphere target requires --dims and --max-dim")
-        dims = _parse_dims(args.dims, K.n)
-        dec = decompose_spheres(K, dims, args.max_dim, budget_words=args.budget_words)
+    dec = consistency_report(K, args.target, args.dims, args.max_dim, args.budget_words)
     code = EXIT_FLAGGED if dec.flags else EXIT_OK
-    return code, dec.to_json_dict(K), _decomposition_lines(dec, args.target)
+    return code, dec.to_json_dict(K), _decomposition_lines(dec)
 
 
 def _relation_text(rel):
@@ -170,12 +159,8 @@ def _relation_text(rel):
 
 def cmd_loop_homology(args):
     K = _read_complex(args.input)
-    if args.target == "cp":
-        p = build_cp_presentation(K)
-    else:
-        if args.dims is None:
-            raise ComplexError("sphere target requires --dims")
-        p = build_sphere_presentation(K, _parse_dims(args.dims, K.n))
+    p = (build_cp_presentation(K) if args.target == "cp"
+         else build_sphere_presentation(K, args.dims))
     D = args.max_degree
     total = graded_dimensions(p, D, budget_words=args.budget_words)
     lines = ["generators:"]
@@ -201,9 +186,8 @@ def cmd_loop_homology(args):
 
 
 def cmd_allday(args):
-    dims = _parse_dims(args.dims)
     build = build_product_model if args.model == "product" else build_fat_wedge_model
-    model = build(dims)
+    model = build(args.dims)
     D = args.max_degree
     # homology_series certifies d^2 = 0 through degree D + 1 before it
     # counts, and raises ModelError with the witness word if it fails.
@@ -214,7 +198,7 @@ def cmd_allday(args):
         "d^2=0: ok",
     ]
     doc = {
-        "dims": list(dims),
+        "dims": list(model.dims),
         "model": args.model,
         "generator_degree_counts": {str(d): c for d, c in model.generator_degree_counts().items()},
         "d_squared_zero": True,
@@ -223,7 +207,7 @@ def cmd_allday(args):
     lines.append(f"homology series (degrees 0..{D}): {_series_text(h)}")
     doc["homology_series"] = list(h.coeffs)
     if args.check_bubenik:
-        b = bubenik_series(dims, args.convention, D)
+        b = bubenik_series(model.dims, args.convention, D)
         agree = h == b
         lines.append(f"Bubenik closed form (degrees 0..{D}): {_series_text(b)}")
         lines.append("homology == Bubenik closed form: " + ("ok" if agree else "MISMATCH"))
@@ -235,18 +219,13 @@ def cmd_allday(args):
 
 
 def cmd_porter(args):
-    dims = _parse_dims(args.dims, args.n) if args.dims is not None else None
-    dec = porter_fnk(args.n, args.k, target=args.target, dims=dims, max_dim=args.max_dim)
-    return EXIT_OK, dec.to_json_dict(), _decomposition_lines(dec, args.target)
+    dec = porter_fnk(args.n, args.k, args.target, args.dims, args.max_dim)
+    return EXIT_OK, dec.to_json_dict(), _decomposition_lines(dec)
 
 
 def cmd_check(args):
     K = _read_complex(args.input)
-    dims = _parse_dims(args.dims, K.n) if args.dims is not None else None
-    dec = consistency_report(
-        K, target=args.target, dims=dims, max_dim=args.max_dim,
-        budget_words=args.budget_words,
-    )
+    dec = consistency_report(K, args.target, args.dims, args.max_dim, args.budget_words)
     flagged = {f.dimension for f in dec.flags}
     lines = []
     verdicts = []
@@ -273,58 +252,51 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_file=True, budget=True):
+    def common(p, func, input_file=True, budget=True, target=True, dims=True):
+        # With --target, --dims grades the sphere target; without, it is the
+        # whole input and required.
         if input_file:
             p.add_argument("input", help="complex description file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if budget:
             p.add_argument("--budget-words", type=_nonnegative_int, default=2_000_000,
                            help="word-count budget per computation")
+        if target:
+            p.add_argument("--target", choices=("cp", "spheres"), default="cp")
+        if dims:
+            p.add_argument("--dims", type=_dims, required=not target,
+                           help="comma-separated sphere parameters m_i")
+        p.set_defaults(func=func, usage_error=p.error)
 
     p = sub.add_parser("analyze", help="classify a complex")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_analyze)
+    common(p, cmd_analyze, budget=False, target=False, dims=False)
 
     p = sub.add_parser("decompose", help="sphere-wedge decomposition")
-    common(p)
-    p.add_argument("--target", choices=("cp", "spheres"), default="cp")
-    p.add_argument("--dims", help="comma-separated sphere parameters m_i")
+    common(p, cmd_decompose)
     p.add_argument("--max-dim", type=_nonnegative_int, default=None)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("loop-homology", help="presentation and graded dimensions")
-    common(p)
-    p.add_argument("--target", choices=("cp", "spheres"), default="cp")
-    p.add_argument("--dims", help="comma-separated sphere parameters m_i")
+    common(p, cmd_loop_homology)
     p.add_argument("--max-degree", type=_nonnegative_int, default=10)
-    p.set_defaults(func=cmd_loop_homology)
 
     p = sub.add_parser("allday", help="differential graded model of a fat wedge")
-    common(p, input_file=False)
-    p.add_argument("--dims", required=True, help="comma-separated sphere parameters m_i")
+    common(p, cmd_allday, input_file=False, target=False)
     p.add_argument("--model", choices=("fat-wedge", "product"), default="fat-wedge")
     p.add_argument("--max-degree", type=_nonnegative_int, default=10)
     p.add_argument("--check-bubenik", action="store_true",
-                   help="compare homology with the closed-form series")
+                   help="compare homology with the fat wedge's closed-form series")
     p.add_argument("--convention", choices=("exterior-on-odd", "polynomial-all"),
                    default="exterior-on-odd")
-    p.set_defaults(func=cmd_allday)
 
     p = sub.add_parser("porter", help="skeleton-family closed-form decomposition")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--target", choices=("cp", "spheres"), default="cp")
-    p.add_argument("--dims", help="comma-separated sphere parameters m_i")
+    common(p, cmd_porter, input_file=False, budget=False)
     p.add_argument("--max-dim", type=_nonnegative_int, default=None)
-    p.set_defaults(func=cmd_porter)
 
     p = sub.add_parser("check", help="cross-route consistency report")
-    common(p)
-    p.add_argument("--target", choices=("cp", "spheres"), default="cp")
-    p.add_argument("--dims", help="comma-separated sphere parameters m_i")
+    common(p, cmd_check)
     p.add_argument("--max-dim", type=_nonnegative_int, default=8)
-    p.set_defaults(func=cmd_check)
 
     return parser
 
@@ -332,6 +304,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Combinations that parse but mean nothing are usage errors too.
+    if getattr(args, "target", None) == "cp" and args.dims is not None:
+        args.usage_error("--dims grades the sphere target; it needs --target spheres")
+    if getattr(args, "model", None) == "product" and args.check_bubenik:
+        args.usage_error("--check-bubenik compares with the fat wedge, not --model product")
     try:
         code, doc, lines = args.func(args)
     except ParseError as exc:
@@ -343,7 +320,7 @@ def main(argv=None):
     except BudgetError as exc:
         print(f"error: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ComplexError, PresentationError, ModelError, SeriesError) as exc:
+    except (ComplexError, ModelError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     try:

@@ -291,6 +291,23 @@ def skeleton_complex(n, k):
     return SimplicialComplex(n=n, faces=frozenset(faces))
 
 
+def sphere_grading(dims, n=None):
+    """The sphere target's grading (m_1, ..., m_n) as a tuple.
+
+    Coordinate target i is the sphere S^{m_i+1}.  This is the one check of
+    the sphere parameters: ``dims`` must be given, must hold n entries when
+    a complex fixes n, and every m_i must be >= 1.
+    """
+    if dims is None:
+        raise ComplexError("sphere target requires dims")
+    grading = tuple(dims)
+    if n is not None and len(grading) != n:
+        raise ComplexError(f"expected {n} sphere parameters, got {len(grading)}")
+    if any(m < 1 for m in grading):
+        raise ComplexError(f"sphere parameters must be >= 1, got {grading}")
+    return grading
+
+
 def j_complement(sigma, n):
     """Sorted complement of the vertex set ``sigma`` in 1..n."""
     s = set(sigma)

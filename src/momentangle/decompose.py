@@ -27,11 +27,12 @@ from math import comb, lcm
 
 from .complexes import (
     ComplexError,
-    SimplicialComplex,
     is_mf_complex,
     j_complement,
+    maximal_faces,
     missing_faces,
     skeleton_complex,
+    sphere_grading,
 )
 from .linalg import IncrementalRank
 from .presentations import (
@@ -116,8 +117,6 @@ class WedgeDecomposition:
             )
         doc = {}
         if K is not None:
-            from .complexes import maximal_faces
-
             doc["complex"] = {
                 "vertices": K.n,
                 "maximal_faces": [list(f) for f in maximal_faces(K)],
@@ -131,6 +130,17 @@ class WedgeDecomposition:
             {"dimension": f.dimension, "routes": dict(f.routes)} for f in self.flags
         ]
         return doc
+
+
+def _grading(target, n, dims, max_dim):
+    """Coordinate degrees of ``target`` on n vertices; cp is all ones."""
+    if target == "cp":
+        return (1,) * n
+    if target != "spheres":
+        raise ComplexError(f"unknown target {target!r}")
+    if max_dim is None:
+        raise ComplexError("sphere target requires max_dim")
+    return sphere_grading(dims, n)
 
 
 def _require_mf(K):
@@ -240,13 +250,9 @@ def _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts):
 
 def _decompose(K, target, dims, max_dim, budget_words):
     """The wedge decomposition of both targets; ``dims`` is None for cp."""
+    grading = _grading(target, K.n, dims, max_dim)
     _require_mf(K)
     strict = target == "cp"
-    grading = (1,) * K.n if strict else dims
-    if len(grading) != K.n:
-        raise ComplexError(f"expected {K.n} sphere parameters, got {len(grading)}")
-    if any(m < 1 for m in grading):
-        raise ComplexError(f"sphere parameters must be >= 1, got {grading}")
     mfs = missing_faces(K)
 
     def t_sigma(sigma):
@@ -275,10 +281,7 @@ def _decompose(K, target, dims, max_dim, budget_words):
                 for js, dim in brackets(sigma)
             )
 
-    if strict:
-        p = build_cp_presentation(K)
-    else:
-        p = build_sphere_presentation(K, dims)
+    p = build_cp_presentation(K) if strict else build_sphere_presentation(K, grading)
     # The kernel series counts spheres of dimension d + 1 in degree d, so it
     # is needed through degree max_dim − 1; at max_dim 0 it runs to degree
     # 0, where it is zero.
@@ -326,7 +329,7 @@ def _decompose(K, target, dims, max_dim, budget_words):
                                  s.label.js if s.label else ()))
     return WedgeDecomposition(
         target=target,
-        dims=dims,
+        dims=None if strict else grading,
         max_dim=max_dim,
         truncated=truncated,
         summands=tuple(summands),
@@ -362,7 +365,7 @@ def decompose_spheres(K, dims, max_dim, budget_words=2_000_000):
     presentation, whose polynomial abelian part matches the multiset
     enumeration.  The result is always truncated at ``max_dim``.
     """
-    return _decompose(K, "spheres", tuple(dims), max_dim, budget_words)
+    return _decompose(K, "spheres", dims, max_dim, budget_words)
 
 
 def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
@@ -376,12 +379,8 @@ def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
     """
     if not (1 <= k <= n - 1):
         raise ComplexError(f"require 1 <= k <= n-1, got n={n}, k={k}")
-    if target not in ("cp", "spheres"):
-        raise ComplexError(f"unknown target {target!r}")
+    grading = _grading(target, n, dims, max_dim)
     strict = target == "cp"
-    if not strict and (dims is None or max_dim is None):
-        raise ComplexError("sphere target requires dims and max_dim")
-    grading = (1,) * n if strict else dims
     truncated = not strict
     tally = {}
     for j in range(n - k + 1, n + 1):
@@ -396,7 +395,7 @@ def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
     tally = dict(sorted(tally.items()))
     return WedgeDecomposition(
         target=target,
-        dims=tuple(dims) if dims is not None else None,
+        dims=None if strict else grading,
         max_dim=max_dim if max_dim is not None else max(tally, default=0),
         truncated=truncated,
         summands=tuple(
@@ -412,8 +411,4 @@ def consistency_report(K, target="cp", dims=None, max_dim=8, budget_words=2_000_
     """The decomposition whose ``routes`` tabulate every applicable route."""
     if target == "cp":
         return decompose_cp(K, max_dim, budget_words)
-    if target == "spheres":
-        if dims is None:
-            raise ComplexError("sphere target requires dims")
-        return decompose_spheres(K, dims, max_dim, budget_words=budget_words)
-    raise ComplexError(f"unknown target {target!r}")
+    return decompose_spheres(K, dims, max_dim, budget_words)

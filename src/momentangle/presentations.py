@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import j_complement, missing_faces
+from .complexes import j_complement, missing_faces, sphere_grading
 from .linalg import sparse_rank
 from .series import (
     FactorizationError,
@@ -124,12 +124,7 @@ def build_sphere_presentation(K, dims):
     m_i, so no b_i² relation is imposed; bracket generators satisfy no
     relations.
     """
-    dims = tuple(dims)
-    if len(dims) != K.n:
-        raise PresentationError(f"expected {K.n} sphere parameters, got {len(dims)}")
-    if any(m < 1 for m in dims):
-        raise PresentationError(f"all sphere parameters must be >= 1, got {dims}")
-    return _build_presentation(K, dims, exterior=False)
+    return _build_presentation(K, sphere_grading(dims, K.n), exterior=False)
 
 
 def _build_presentation(K, grading, exterior):

@@ -71,11 +71,10 @@ def test_model_generator_counts():
     assert fw2.generator_degree_counts() == {2: 3, 5: 3}
 
 
-def test_model_validation():
-    with pytest.raises(ModelError):
-        build_fat_wedge_model((1,))
-    with pytest.raises(ModelError):
-        build_fat_wedge_model((1, 0))
+@pytest.mark.parametrize("build", [build_fat_wedge_model, build_product_model])
+def test_model_requires_two_spheres(build):
+    with pytest.raises(ModelError, match="at least two spheres"):
+        build((1,))
 
 
 def test_d_squared_sweep_small():

@@ -1,8 +1,11 @@
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from momentangle import cli
 from momentangle.cli import main
@@ -297,6 +300,88 @@ def test_negative_bound_is_usage_error(fixtures_dir, args):
     assert "must be >= 0" in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+def exit_code(argv):
+    """``main``'s exit code, including argparse's ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        *[(sub, "K1.sc", "--target", "spheres", "--dims", "1,x")
+          for sub in ("decompose", "loop-homology", "check")],
+        ("porter", "4", "2", "--target", "spheres", "--dims", "1,x", "--max-dim", "8"),
+        ("allday", "--dims", "1,x"),
+        *[(sub, "K1.sc", "--dims", "1,1,1,1") for sub in ("decompose", "loop-homology", "check")],
+        ("porter", "4", "2", "--target", "cp", "--dims", "1,1,1,1"),
+        ("allday", "--dims", "1,1,1", "--model", "product", "--check-bubenik"),
+    ],
+    ids=[*(f"malformed-dims-{sub}"
+           for sub in ("decompose", "loop-homology", "check", "porter", "allday")),
+         *(f"cp-dims-{sub}" for sub in ("decompose", "loop-homology", "check", "porter")),
+         "product-check-bubenik"],
+)
+def test_usage_error(fixtures_dir, capsys, args):
+    args = [str(fixtures_dir / a) if a.endswith(".sc") else a for a in args]
+    assert exit_code(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+SUBCOMMANDS = ("decompose", "check", "loop-homology", "porter", "allday", "analyze")
+
+
+def _csv(ms):
+    return ",".join(map(str, ms))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzz_exit_codes_keep_the_contract(tmp_path, data):
+    # Random small complexes and option sets: every run ends in 0, 1, 2 or 3,
+    # and nothing but argparse's SystemExit(2) escapes ``main``.  The complex
+    # has as faces the subsets of 1..n that contain none of the drawn sets.
+    n = data.draw(st.integers(1, 5), "n")
+    non_faces = data.draw(st.lists(st.sets(st.integers(1, n), min_size=2), max_size=4)
+                          if n > 1 else st.just([]), "non-faces")
+    faces = [f for k in range(1, n + 1) for f in itertools.combinations(range(1, n + 1), k)
+             if not any(s <= set(f) for s in non_faces)]
+    path = tmp_path / "K.sc"
+    path.write_text(f"vertices: {n}\n"
+                    + "".join("face: " + " ".join(map(str, f)) + "\n" for f in faces))
+    sub = data.draw(st.sampled_from(SUBCOMMANDS), "subcommand")
+    target = data.draw(st.sampled_from(["spheres", None, "cp"]), "target")
+    dims = data.draw(st.one_of(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n).map(_csv),
+        st.lists(st.integers(0, 3), min_size=1, max_size=n + 1).map(_csv),
+        st.just("1,x"), st.none()), "dims")
+    bound = str(data.draw(st.integers(0, 6), "bound"))
+    budget = str(data.draw(st.sampled_from([20_000, 50, 0]), "budget"))
+    if sub == "analyze":
+        argv = [sub, str(path)]
+    elif sub == "allday":
+        argv = [sub, "--max-degree", bound, "--budget-words", budget]
+        argv += data.draw(st.sampled_from([[], ["--model", "product"], ["--check-bubenik"]]),
+                          "allday options")
+    else:
+        if sub == "porter":
+            argv = [sub, str(n), str(data.draw(st.integers(0, n), "k")), "--max-dim", bound]
+        else:
+            bound_option = "--max-degree" if sub == "loop-homology" else "--max-dim"
+            argv = [sub, str(path), bound_option, bound, "--budget-words", budget]
+        if target is not None:
+            argv += ["--target", target]
+    if sub != "analyze" and dims is not None:
+        argv += ["--dims", dims]
+    assert exit_code(argv) in (0, 1, 2, 3)
 
 
 def test_main_is_callable_in_process(fixtures_dir, capsys):

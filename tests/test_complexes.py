@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentangle.allday import build_fat_wedge_model, build_product_model, bubenik_series
 from momentangle.complexes import (
     ComplexError,
     ParseError,
@@ -17,7 +18,10 @@ from momentangle.complexes import (
     parse_complex,
     serialize_complex,
     skeleton_complex,
+    sphere_grading,
 )
+from momentangle.decompose import consistency_report, decompose_spheres, porter_fnk
+from momentangle.presentations import build_sphere_presentation
 
 
 def test_downward_closure():
@@ -198,3 +202,29 @@ def test_shifted_any_matches_permutation_search(K):
     search = next(((True, perm) for perm in itertools.permutations(range(1, K.n + 1))
                    if is_shifted(K, perm)), (False, None))
     assert is_shifted_any(K) == search
+
+
+def test_sphere_grading_is_the_one_check(K1):
+    # Every entry point that takes sphere parameters refuses a wrong count,
+    # an m_i of 0 and missing dims with the same error class and message.
+    with_n = {
+        "sphere_grading": lambda dims: sphere_grading(dims, 4),
+        "build_sphere_presentation": lambda dims: build_sphere_presentation(K1, dims),
+        "decompose_spheres": lambda dims: decompose_spheres(K1, dims, 8),
+        "consistency_report": lambda dims: consistency_report(K1, "spheres", dims, 8),
+        "porter_fnk": lambda dims: porter_fnk(4, 2, "spheres", dims, 8),
+    }
+    without_n = {
+        "sphere_grading": sphere_grading,
+        "build_fat_wedge_model": build_fat_wedge_model,
+        "build_product_model": build_product_model,
+        "bubenik_series": lambda dims: bubenik_series(dims, "exterior-on-odd", 6),
+    }
+    cases = [(f, (1, 1, 1), "expected 4 sphere parameters, got 3") for f in with_n.values()]
+    for entry in (*with_n.values(), *without_n.values()):
+        cases.append((entry, (1, 1, 0, 1), r"sphere parameters must be >= 1, got \(1, 1, 0, 1\)"))
+        cases.append((entry, None, "sphere target requires dims"))
+    for entry, dims, message in cases:
+        with pytest.raises(ComplexError, match=message):
+            entry(dims)
+    assert sphere_grading([1, 2, 1, 2], 4) == (1, 2, 1, 2)

@@ -4,8 +4,6 @@ import pathlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from momentangle.complexes import (
     SimplicialComplex,
@@ -16,7 +14,6 @@ from momentangle.complexes import (
 from momentangle.presentations import (
     Generator,
     Presentation,
-    PresentationError,
     abelian_series,
     b_name,
     bracket_lists,
@@ -68,13 +65,6 @@ def test_sphere_presentation_structure(K1):
 def test_sphere_abelian_part_is_polynomial(K1):
     p = build_sphere_presentation(K1, (1, 2, 1, 2))
     assert abelian_series(p, 6) == free_gc_series([(1, 2), (2, 2)], "polynomial-all", 6)
-
-
-def test_sphere_presentation_validation(K1):
-    with pytest.raises(PresentationError):
-        build_sphere_presentation(K1, (1, 1, 1))
-    with pytest.raises(PresentationError):
-        build_sphere_presentation(K1, (1, 1, 1, 0))
 
 
 def test_graded_dimensions_K1(K1):
