@@ -14,6 +14,7 @@ from momentangle.allday import (
     generator_degree,
     homology_series,
 )
+from momentangle.complexes import ComplexError
 from momentangle.series import TruncatedSeries, free_gc_series, geometric_series
 
 
@@ -71,10 +72,12 @@ def test_model_generator_counts():
     assert fw2.generator_degree_counts() == {2: 3, 5: 3}
 
 
-@pytest.mark.parametrize("build", [build_fat_wedge_model, build_product_model])
-def test_model_requires_two_spheres(build):
-    with pytest.raises(ModelError, match="at least two spheres"):
-        build((1,))
+def test_model_validation():
+    for build in (build_fat_wedge_model, build_product_model):
+        with pytest.raises(ModelError, match="at least two spheres"):
+            build((1,))
+        with pytest.raises(ComplexError, match="sphere parameters must be >= 1"):
+            build((1, 0))
 
 
 def test_d_squared_sweep_small():

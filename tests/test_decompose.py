@@ -127,11 +127,13 @@ def test_porter_one_skeleton_counts(n):
     assert counts == {j + 1: (j - 1) * comb(n, j) for j in range(2, n + 1)}
 
 
-def test_porter_requires_k_in_range():
+def test_porter_validation():
     with pytest.raises(ComplexError, match="require 1 <= k <= n-1"):
         porter_fnk(4, 4)
     with pytest.raises(ComplexError, match="require 1 <= k <= n-1"):
         porter_fnk(4, 0)
+    with pytest.raises(ComplexError, match="sphere target requires max_dim"):
+        porter_fnk(4, 2, target="spheres")  # needs dims and max_dim
 
 
 def test_porter_spheres_composition_oracle():
@@ -177,7 +179,9 @@ def test_decompose_spheres_K1(K1):
     assert not dec2.flags
 
 
-def test_decompose_spheres_requires_mf_complex_and_max_dim(K1, K2):
+def test_decompose_spheres_validation(K1, K2):
+    with pytest.raises(ComplexError, match="expected 4 sphere parameters, got 3"):
+        decompose_spheres(K1, (1, 1, 1), 8)
     with pytest.raises(ComplexError, match="not an MF-complex"):
         decompose_spheres(K2, (1, 1, 1, 1), 8)
     with pytest.raises(ComplexError, match="requires max_dim"):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from momentangle.complexes import (
+    ComplexError,
     SimplicialComplex,
     missing_faces,
     parse_complex,
@@ -65,6 +66,13 @@ def test_sphere_presentation_structure(K1):
 def test_sphere_abelian_part_is_polynomial(K1):
     p = build_sphere_presentation(K1, (1, 2, 1, 2))
     assert abelian_series(p, 6) == free_gc_series([(1, 2), (2, 2)], "polynomial-all", 6)
+
+
+def test_sphere_presentation_validation(K1):
+    with pytest.raises(ComplexError, match="expected 4 sphere parameters, got 3"):
+        build_sphere_presentation(K1, (1, 1, 1))
+    with pytest.raises(ComplexError, match="sphere parameters must be >= 1"):
+        build_sphere_presentation(K1, (1, 1, 1, 0))
 
 
 def test_graded_dimensions_K1(K1):
