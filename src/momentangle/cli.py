@@ -94,14 +94,15 @@ def _wedge_text(dec):
 
 
 def _decomposition_lines(dec):
-    lines = [_wedge_text(dec)]
+    """The text report, one line per sphere; lazy, so --json never builds it."""
+    yield _wedge_text(dec)
     for s in dec.summands:
         label = s.label.text(dec.target) if s.label is not None else f"<{s.provenance}>"
-        lines.append(f"S^{s.dimension}: {label}")
+        for _ in range(s.count):
+            yield f"S^{s.dimension}: {label}"
     for f in dec.flags:
         routes = " ".join(f"{name}={count}" for name, count in f.routes)
-        lines.append(f"FLAG dim {f.dimension}: {routes}")
-    return lines
+        yield f"FLAG dim {f.dimension}: {routes}"
 
 
 def cmd_analyze(args):
@@ -207,7 +208,7 @@ def cmd_allday(args):
     lines.append(f"homology series (degrees 0..{D}): {_series_text(h)}")
     doc["homology_series"] = list(h.coeffs)
     if args.check_bubenik:
-        b = bubenik_series(model.dims, args.convention, D)
+        b = bubenik_series(model.dims, args.convention or "exterior-on-odd", D)
         agree = h == b
         lines.append(f"Bubenik closed form (degrees 0..{D}): {_series_text(b)}")
         lines.append("homology == Bubenik closed form: " + ("ok" if agree else "MISMATCH"))
@@ -286,7 +287,8 @@ def build_parser():
     p.add_argument("--check-bubenik", action="store_true",
                    help="compare homology with the fat wedge's closed-form series")
     p.add_argument("--convention", choices=("exterior-on-odd", "polynomial-all"),
-                   default="exterior-on-odd")
+                   help="the closed form's convention for --check-bubenik "
+                   "(default exterior-on-odd)")
 
     p = sub.add_parser("porter", help="skeleton-family closed-form decomposition")
     p.add_argument("n", type=int)
@@ -309,6 +311,8 @@ def main(argv=None):
         args.usage_error("--dims grades the sphere target; it needs --target spheres")
     if getattr(args, "model", None) == "product" and args.check_bubenik:
         args.usage_error("--check-bubenik compares with the fat wedge, not --model product")
+    if getattr(args, "convention", None) is not None and not args.check_bubenik:
+        args.usage_error("--convention only sets the closed form of --check-bubenik")
     try:
         code, doc, lines = args.func(args)
     except ParseError as exc:

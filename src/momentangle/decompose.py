@@ -2,9 +2,9 @@
 
 A decomposition lists one sphere summand per enumerated bracket, checks
 the per-dimension counts against the kernel-generator series of the
-presented loop-homology algebra, and, where applicable, against two more
-independent routes: the skeleton-family closed form ("porter") and the
-single-missing-face composition count ("james").  Route disagreements are
+presented loop-homology algebra, and, on skeleta of the simplex, against
+Porter's closed form ("porter"), which a complex with a single missing
+face, the boundary of a simplex, also reaches.  Route disagreements are
 reported as flags, never silently reconciled.
 
 Both targets run one pipeline.  Coordinate target i is the sphere S^{m_i+1},
@@ -19,7 +19,6 @@ nondecreasing lists over 1..n.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +43,7 @@ from .presentations import (
     kernel_generator_series,
     rewriting_system,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, geometric_series
 from .tensor import commutator
 
 
@@ -70,9 +69,12 @@ class WhiteheadLabel:
 
 @dataclass(frozen=True)
 class SphereSummand:
+    """``count`` copies of S^dimension; only unlabeled records hold several."""
+
     dimension: int
     label: WhiteheadLabel | None
     provenance: str  # "enumeration", "series", or "porter"
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class WedgeDecomposition:
     def counts(self):
         out = {}
         for s in self.summands:
-            out[s.dimension] = out.get(s.dimension, 0) + 1
+            out[s.dimension] = out.get(s.dimension, 0) + s.count
         return dict(sorted(out.items()))
 
     def to_json_dict(self, K=None):
@@ -110,7 +112,7 @@ class WedgeDecomposition:
             summands.append(
                 {
                     "dimension": dim,
-                    "count": len(group),
+                    "count": sum(s.count for s in group),
                     "labels": labels,
                     "provenance": "+".join(provenance),
                 }
@@ -159,26 +161,33 @@ def detect_skeleton(K):
     return None
 
 
-def _composition_counts(base, ms, max_dim, strict):
-    """Per-dimension counts of the brackets on grades ``ms`` from ``base``.
+def _porter_counts(n, k, grading, strict, max_dim):
+    """Porter's closed form for skeleton_complex(n, k): {dimension: count}.
 
-    Strict: each grade once, so the single dimension base + sum ms.
-    Multiset: #{(d_1..d_k) >= 1 : base + sum d_t m_t = dim}.  Dimensions
-    above ``max_dim`` (None: no bound) are dropped.
+    The count in dimension (n − k) + d is Σ_j C(j − 1, n − k)·[t^d] e_j,
+    summed over j > n − k, where e_j is the elementary symmetric function of
+    x_i = t^{m_i} (exterior coordinates: strict, cp) or t^{m_i}/(1 − t^{m_i})
+    (polynomial ones), built by the recurrence e_j ← e_j + x_i·e_{j−1}.
+    Dimensions above ``max_dim`` are dropped.
     """
-    if strict:
-        dim = base + sum(ms)
-        return {dim: 1} if max_dim is None or dim <= max_dim else {}
-    counts = {0: 1}
-    for m in ms:
-        new = {}
-        for tot, c in counts.items():
-            d = 1
-            while tot + d * m <= max_dim - base:
-                new[tot + d * m] = new.get(tot + d * m, 0) + c
-                d += 1
-        counts = new
-    return {base + tot: c for tot, c in counts.items()}
+    base = n - k
+    cutoff = max_dim - base
+    if cutoff < 0:
+        return {}
+    one = TruncatedSeries.one(cutoff)
+    e = [one] + [TruncatedSeries.zero(cutoff)] * n
+    for m in grading:
+        x = TruncatedSeries.monomial(m, cutoff)
+        if not strict:
+            x = geometric_series(x) - one
+        for j in range(n, 0, -1):
+            e[j] = e[j] + x * e[j - 1]
+    counts = {}
+    for d in range(cutoff + 1):
+        c = sum(comb(j - 1, base) * e[j][d] for j in range(base + 1, n + 1))
+        if c:
+            counts[base + d] = c
+    return counts
 
 
 def _integer_row(nf, index):
@@ -303,19 +312,12 @@ def _decompose(K, target, dims, max_dim, budget_words):
     }
     k = detect_skeleton(K)
     if k is not None:
-        routes["porter"] = porter_fnk(K.n, k, target, dims, max_dim).counts()
-    if len(mfs) == 1:
-        sigma = mfs[0]
-        routes["james"] = _composition_counts(
-            len(sigma) - 1, [grading[i - 1] for i in sigma], max_dim, strict
-        )
+        routes["porter"] = _porter_counts(K.n, k, grading, strict, max_dim)
 
     # Unlabeled series-certified summands fill where enumeration fell short.
     for dim, want in routes["series"].items():
-        summands.extend(
-            SphereSummand(dim, None, "series")
-            for _ in range(want - enum_counts.get(dim, 0))
-        )
+        if want > enum_counts[dim]:
+            summands.append(SphereSummand(dim, None, "series", want - enum_counts[dim]))
     table = []
     flags = []
     for dim in sorted(set().union(*routes.values())):
@@ -347,9 +349,8 @@ def decompose_cp(K, max_dim=None, budget_words=2_000_000):
     nonempty strictly increasing list from its complement.  Part (c):
     2-vertex missing faces contribute series-certified brackets.  All
     per-dimension counts are reconciled against the kernel-generator
-    series; skeleton and single-missing-face closed forms join the
-    comparison when applicable.  Without ``max_dim`` the decomposition
-    runs to the largest dimension any bracket reaches.
+    series and, on skeleta, Porter's closed form.  Without ``max_dim`` the
+    decomposition runs to the largest dimension any bracket reaches.
     """
     return _decompose(K, "cp", None, max_dim, budget_words)
 
@@ -369,38 +370,29 @@ def decompose_spheres(K, dims, max_dim, budget_words=2_000_000):
 
 
 def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
-    """Closed-form decomposition for the skeleton family.
+    """Porter's decomposition of Z_K for K = skeleton_complex(n, k).
 
-    For each j from n−k+1 to n and each j-subset (i_1 < … < i_j), the
-    decomposition contains C(j−1, n−k) copies of the (n−k)-fold suspension
-    of the smash of the looped coordinate targets.  In the cp case each
-    smash is the single sphere S^{n−k+j}; for sphere targets it expands
-    into composition counts #{(d_1..d_j) ≥ 1 : (n−k) + sum d_t m_{i_t} = dim}.
+    Z_K is the wedge, over j > n−k and the j-subsets (i_1 < … < i_j) of
+    1..n, of C(j−1, n−k) copies of the (n−k)-fold suspension of the smash
+    of the looped coordinate targets: S^{n−k+j} for cp, and for sphere
+    targets one sphere per (d_1..d_j) ≥ 1 in dimension
+    (n−k) + sum d_t m_{i_t}.  ``_porter_counts`` sums over the subsets
+    without walking them, and each dimension is one unlabeled summand
+    record.  Without ``max_dim`` (cp only) it runs to the top dimension
+    2n − k.
     """
     if not (1 <= k <= n - 1):
         raise ComplexError(f"require 1 <= k <= n-1, got n={n}, k={k}")
     grading = _grading(target, n, dims, max_dim)
     strict = target == "cp"
-    truncated = not strict
-    tally = {}
-    for j in range(n - k + 1, n + 1):
-        mult = comb(j - 1, n - k)
-        for subset in itertools.combinations(range(1, n + 1), j):
-            counts = _composition_counts(
-                n - k, [grading[i - 1] for i in subset], max_dim, strict
-            )
-            truncated = truncated or not counts
-            for dim, c in counts.items():
-                tally[dim] = tally.get(dim, 0) + mult * c
-    tally = dict(sorted(tally.items()))
+    top = 2 * n - k if max_dim is None else max_dim
+    tally = _porter_counts(n, k, grading, strict, top)
     return WedgeDecomposition(
         target=target,
         dims=None if strict else grading,
-        max_dim=max_dim if max_dim is not None else max(tally, default=0),
-        truncated=truncated,
-        summands=tuple(
-            SphereSummand(dim, None, "porter") for dim, c in tally.items() for _ in range(c)
-        ),
+        max_dim=top,
+        truncated=not strict or top < 2 * n - k,
+        summands=tuple(SphereSummand(dim, None, "porter", c) for dim, c in tally.items()),
         flags=(),
         routes=tuple((dim, (("porter", c),)) for dim, c in tally.items()),
         rejected=(),

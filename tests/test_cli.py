@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from momentangle import cli
+from momentangle.allday import bubenik_series
 from momentangle.cli import main
 
 
@@ -194,6 +195,24 @@ def test_porter():
     assert res.stdout.splitlines()[0] == "Z_K ~ 4S^5 v 3S^6"
 
 
+@pytest.mark.parametrize("args", [
+    ("4", "2", "--target", "spheres", "--dims", "1,1,1,1", "--max-dim", "1"),
+    ("3", "1", "--max-dim", "4"),
+], ids=["spheres-below-base", "cp-below-top"])
+def test_porter_bound_below_every_sphere(capsys, args):
+    assert main(["porter", *args]) == 0
+    assert capsys.readouterr().out == "Z_K ~ contractible (truncated)\n"
+
+
+def test_allday_convention_reaches_the_closed_form(capsys):
+    argv = ["allday", "--dims", "1,1,1", "--max-degree", "6", "--check-bubenik", "--json"]
+    main(argv)
+    default = json.loads(capsys.readouterr().out)["bubenik_series"]
+    main([*argv, "--convention", "polynomial-all"])
+    poly = json.loads(capsys.readouterr().out)["bubenik_series"]
+    assert poly == list(bubenik_series((1, 1, 1), "polynomial-all", 6).coeffs) != default
+
+
 def test_check_flagged(fixtures_dir):
     res = run_cli("check", str(fixtures_dir / "skel42.sc"))
     assert res.returncode == 1
@@ -320,11 +339,12 @@ def exit_code(argv):
         *[(sub, "K1.sc", "--dims", "1,1,1,1") for sub in ("decompose", "loop-homology", "check")],
         ("porter", "4", "2", "--target", "cp", "--dims", "1,1,1,1"),
         ("allday", "--dims", "1,1,1", "--model", "product", "--check-bubenik"),
+        ("allday", "--dims", "1,1,1", "--convention", "polynomial-all"),
     ],
     ids=[*(f"malformed-dims-{sub}"
            for sub in ("decompose", "loop-homology", "check", "porter", "allday")),
          *(f"cp-dims-{sub}" for sub in ("decompose", "loop-homology", "check", "porter")),
-         "product-check-bubenik"],
+         "product-check-bubenik", "convention-without-check-bubenik"],
 )
 def test_usage_error(fixtures_dir, capsys, args):
     args = [str(fixtures_dir / a) if a.endswith(".sc") else a for a in args]

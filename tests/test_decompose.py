@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentangle import decompose
-from momentangle.complexes import ComplexError, SimplicialComplex, skeleton_complex
+from momentangle.complexes import (
+    ComplexError,
+    SimplicialComplex,
+    is_mf_complex,
+    missing_faces,
+    skeleton_complex,
+)
 from momentangle.decompose import (
     WhiteheadLabel,
     consistency_report,
@@ -68,8 +74,33 @@ def test_decompose_cp_single_missing_face(triangle_boundary):
     dec = decompose_cp(triangle_boundary)
     assert dec.counts() == {5: 1}
     routes = dict(dec.routes)
-    assert dict(routes[5])["james"] == 1
+    assert dict(routes[5])["porter"] == 1
     assert not dec.flags
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_single_missing_face_reaches_porter(n):
+    # A complex with one missing face sigma is every subset of 1..n that
+    # does not contain sigma.  The MF-complexes among them are the
+    # boundaries of simplices, which are skeleta, so the porter route
+    # checks every complex with a single missing face.
+    vertices = range(1, n + 1)
+    mf_complexes = 0
+    for size in range(2, n + 1):
+        for sigma in itertools.combinations(vertices, size):
+            K = SimplicialComplex.from_faces(n, [
+                f for r in range(1, n + 1) for f in itertools.combinations(vertices, r)
+                if not set(sigma) <= set(f)
+            ])
+            assert missing_faces(K) == [sigma]
+            if not is_mf_complex(K)[0]:
+                continue
+            mf_complexes += 1
+            assert detect_skeleton(K) == 1
+            dec = consistency_report(K, "cp", max_dim=2 * n - 1)
+            assert dict(dict(dec.routes)[2 * n - 1]) == {
+                "enumeration": 1, "series": 1, "porter": 1}
+    assert mf_complexes == 1
 
 
 def test_decompose_cp_requires_mf_complex(K2):
@@ -137,22 +168,41 @@ def test_porter_validation():
 
 
 def test_porter_spheres_composition_oracle():
+    # Porter's wedge summed by walking the j-subsets.  In the cp case each
+    # coordinate is exterior, so it enters a smash once, with degree 1.
     from itertools import combinations, product
     from math import comb
 
-    n, k, dims, max_dim = 4, 2, (1, 2, 1, 2), 8
-    sp = porter_fnk(n, k, target="spheres", dims=dims, max_dim=max_dim).counts()
-    base = n - k
-    expected = {}
-    for j in range(n - k + 1, n + 1):
-        mult = comb(j - 1, n - k)
-        for subset in combinations(range(1, n + 1), j):
-            ms = [dims[i - 1] for i in subset]
-            for ds in product(range(1, max_dim + 1), repeat=j):
-                dim = base + sum(d * m for d, m in zip(ds, ms))
-                if dim <= max_dim:
-                    expected[dim] = expected.get(dim, 0) + mult
-    assert sp == expected
+    for n, k, target, dims, max_dim in [
+        (4, 2, "spheres", (1, 2, 1, 2), 8),
+        (5, 3, "spheres", (1, 2, 1, 2, 1), 9),
+        (4, 1, "spheres", (2, 1, 1, 2), 10),
+        (6, 3, "cp", None, None),
+        (7, 2, "cp", None, None),
+        (7, 4, "cp", None, 9),
+    ]:
+        dec = porter_fnk(n, k, target, dims, max_dim)
+        top = 2 * n - k if max_dim is None else max_dim
+        exponents = range(1, 2) if target == "cp" else range(1, top + 1)
+        base = n - k
+        expected = {}
+        for j in range(n - k + 1, n + 1):
+            mult = comb(j - 1, n - k)
+            for subset in combinations(range(1, n + 1), j):
+                ms = [dims[i - 1] if dims else 1 for i in subset]
+                for ds in product(exponents, repeat=j):
+                    dim = base + sum(d * m for d, m in zip(ds, ms))
+                    if dim <= top:
+                        expected[dim] = expected.get(dim, 0) + mult
+        assert dec.counts() == expected, (n, k, target, dims)
+        assert dec.truncated == (target == "spheres" or top < 2 * n - k)
+
+
+def test_porter_holds_one_record_per_dimension():
+    dec = porter_fnk(16, 8)
+    dims = [s.dimension for s in dec.summands]
+    assert len(dims) == len(set(dims)) == 8
+    assert sum(dec.counts().values()) == 1_066_495
 
 
 def test_decompose_spheres_james_111(triangle_boundary):
@@ -161,7 +211,7 @@ def test_decompose_spheres_james_111(triangle_boundary):
     assert dec.counts() == expected
     assert not dec.flags and dec.truncated
     routes = dict(dec.routes)
-    assert dict(routes[8])["james"] == 10
+    assert dict(routes[8])["porter"] == 10
 
 
 def test_decompose_spheres_james_222(triangle_boundary):
