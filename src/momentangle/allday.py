@@ -1,18 +1,18 @@
-"""Differential graded tensor-algebra models for fat wedges of spheres.
+"""Differential graded tensor-algebra models of polyhedral products (S^{m+1})^K.
 
-Generators are indexed by increasing vertex sequences I; the generator for
-I has degree (sum of (m_i + 1) over I) - 1 and its differential is the
-signed sum of graded commutators over type-II shuffles of I.  Homology is
-computed degreewise by exact integer linear algebra; the differential
-preserves the vertex-content multidegree of a word, which splits the
-computation into small independent blocks.
+One generator per face I of K (the fat wedge is K = ∂Δ, the product K = Δ),
+of degree (sum of (m_i + 1) over I) - 1; its differential is the signed sum
+of graded commutators over type-II shuffles of I.  Homology is computed
+degreewise by exact integer linear algebra; the differential preserves the
+vertex-content multidegree of a word, which splits the computation into
+small independent blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import sphere_grading
+from .complexes import SimplicialComplex, skeleton_complex, sphere_grading
 from .linalg import sparse_rank
 from .series import (
     SeriesError,
@@ -22,7 +22,7 @@ from .series import (
     shuffle_sign,
     type2_shuffles,
 )
-from .tensor import TensorElement, commutator, words_by_degree
+from .tensor import DEFAULT_BUDGET_WORDS, TensorElement, commutator, words_by_degree
 
 
 class ModelError(ValueError):
@@ -120,21 +120,11 @@ def _validate_dims(dims):
     return dims
 
 
-def _subsets(n, include_full):
-    import itertools
-
-    verts = range(1, n + 1)
-    out = []
-    top = n if include_full else n - 1
-    for k in range(1, top + 1):
-        out.extend(itertools.combinations(verts, k))
-    out.sort(key=lambda I: (len(I), I))
-    return tuple(out)
-
-
-def _build_model(dims, include_full):
-    dims = _validate_dims(dims)
-    gens = _subsets(len(dims), include_full)
+def _build_model(K, dims):
+    """Model of the polyhedral product (S^{m+1})^K: one generator per face
+    of K, in (length, lex) order; d is a_element on faces of size >= 2."""
+    dims = sphere_grading(dims, K.n)
+    gens = tuple(K.sorted_faces())
     diff = {
         I: (a_element(I, dims) if len(I) >= 2 else TensorElement.zero())
         for I in gens
@@ -143,14 +133,16 @@ def _build_model(dims, include_full):
 
 
 def build_fat_wedge_model(dims):
-    """Model of the fat wedge: generators for all nonempty proper index sets."""
-    return _build_model(dims, include_full=False)
+    """Model of the fat wedge: K is the boundary of the simplex."""
+    dims = _validate_dims(dims)
+    return _build_model(skeleton_complex(len(dims), 1), dims)
 
 
 def build_product_model(dims):
-    """Fat-wedge model plus the top generator, whose differential attaches
-    the top cell of the product."""
-    return _build_model(dims, include_full=True)
+    """Model of the product: K is the simplex, whose top face attaches the top cell."""
+    dims = _validate_dims(dims)
+    n = len(dims)
+    return _build_model(SimplicialComplex.from_faces(n, [range(1, n + 1)]), dims)
 
 
 def check_d_squared(model, max_degree):
@@ -179,7 +171,7 @@ def check_d_squared(model, max_degree):
     return True, None
 
 
-def homology_series(model, max_degree, budget_words=2_000_000):
+def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     """Graded dimensions of the model's homology through ``max_degree``.
 
     Per degree d: (number of words of degree d) minus the ranks of the

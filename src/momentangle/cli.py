@@ -39,7 +39,7 @@ from .presentations import (
     kernel_generator_series,
 )
 from .series import FactorizationError, SeriesError
-from .tensor import BudgetError
+from .tensor import DEFAULT_BUDGET_WORDS, BudgetError
 
 EXIT_OK = 0
 EXIT_FLAGGED = 1
@@ -79,30 +79,30 @@ def _nonnegative_int(text):
     return value
 
 
+def _spheres_text(count, dim):
+    return (f"{count}" if count > 1 else "") + f"S^{dim}"
+
+
 def _wedge_text(dec):
     counts = dec.counts()
     if not counts:
         body = "contractible"
     else:
-        parts = []
-        for dim in sorted(counts):
-            c = counts[dim]
-            parts.append((f"{c}" if c > 1 else "") + f"S^{dim}")
-        body = " v ".join(parts)
+        body = " v ".join(_spheres_text(counts[dim], dim) for dim in sorted(counts))
     suffix = " (truncated)" if dec.truncated else ""
     return f"Z_K ~ {body}{suffix}"
 
 
 def _decomposition_lines(dec):
-    """The text report, one line per sphere; lazy, so --json never builds it."""
-    yield _wedge_text(dec)
+    """The text report: one line per summand record, c copies as cS^d."""
+    lines = [_wedge_text(dec)]
     for s in dec.summands:
         label = s.label.text(dec.target) if s.label is not None else f"<{s.provenance}>"
-        for _ in range(s.count):
-            yield f"S^{s.dimension}: {label}"
+        lines.append(f"{_spheres_text(s.count, s.dimension)}: {label}")
     for f in dec.flags:
         routes = " ".join(f"{name}={count}" for name, count in f.routes)
-        yield f"FLAG dim {f.dimension}: {routes}"
+        lines.append(f"FLAG dim {f.dimension}: {routes}")
+    return lines
 
 
 def cmd_analyze(args):
@@ -260,7 +260,8 @@ def build_parser():
             p.add_argument("input", help="complex description file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if budget:
-            p.add_argument("--budget-words", type=_nonnegative_int, default=2_000_000,
+            p.add_argument("--budget-words", type=_nonnegative_int,
+                           default=DEFAULT_BUDGET_WORDS,
                            help="word-count budget per computation")
         if target:
             p.add_argument("--target", choices=("cp", "spheres"), default="cp")
@@ -280,7 +281,7 @@ def build_parser():
     common(p, cmd_loop_homology)
     p.add_argument("--max-degree", type=_nonnegative_int, default=10)
 
-    p = sub.add_parser("allday", help="differential graded model of a fat wedge")
+    p = sub.add_parser("allday", help="differential graded model of a fat wedge or product")
     common(p, cmd_allday, input_file=False, target=False)
     p.add_argument("--model", choices=("fat-wedge", "product"), default="fat-wedge")
     p.add_argument("--max-degree", type=_nonnegative_int, default=10)

@@ -44,7 +44,7 @@ from .presentations import (
     rewriting_system,
 )
 from .series import TruncatedSeries, geometric_series
-from .tensor import commutator
+from .tensor import DEFAULT_BUDGET_WORDS, commutator
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def _decompose(K, target, dims, max_dim, budget_words):
     )
 
 
-def decompose_cp(K, max_dim=None, budget_words=2_000_000):
+def decompose_cp(K, max_dim=None, budget_words=DEFAULT_BUDGET_WORDS):
     """Wedge decomposition with all coordinate targets the same (cp case).
 
     Part (a): one sphere of dimension 2(#sigma−1)+1 per missing face.
@@ -355,7 +355,7 @@ def decompose_cp(K, max_dim=None, budget_words=2_000_000):
     return _decompose(K, "cp", None, max_dim, budget_words)
 
 
-def decompose_spheres(K, dims, max_dim, budget_words=2_000_000):
+def decompose_spheres(K, dims, max_dim, budget_words=DEFAULT_BUDGET_WORDS):
     """Wedge decomposition with coordinate target i the sphere S^{m_i+1}.
 
     Part (a): one sphere of dimension t_sigma per missing face, where
@@ -399,7 +399,7 @@ def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
     )
 
 
-def consistency_report(K, target="cp", dims=None, max_dim=8, budget_words=2_000_000):
+def consistency_report(K, target="cp", dims=None, max_dim=8, budget_words=DEFAULT_BUDGET_WORDS):
     """The decomposition whose ``routes`` tabulate every applicable route."""
     if target == "cp":
         return decompose_cp(K, max_dim, budget_words)

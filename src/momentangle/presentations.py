@@ -26,7 +26,7 @@ from .series import (
     series_div_exact,
 )
 from .rewriting import RewritingSystem
-from .tensor import TensorElement, commutator, words_by_degree
+from .tensor import DEFAULT_BUDGET_WORDS, TensorElement, commutator, words_by_degree
 
 
 class PresentationError(ValueError):
@@ -192,12 +192,12 @@ def bracket_lists(sigma, n, grading, max_dim, strict):
         stack.extend(reversed(children))
 
 
-def rewriting_system(p, max_degree, budget_words=2_000_000):
+def rewriting_system(p, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     """Degree-truncated confluent rewriting system for the presentation."""
     return RewritingSystem(p.generator_pairs(), p.relations, max_degree, budget_words)
 
 
-def graded_dimensions(p, max_degree, method="rewriting", budget_words=2_000_000):
+def graded_dimensions(p, max_degree, method="rewriting", budget_words=DEFAULT_BUDGET_WORDS):
     """Dimensions of the presented algebra per degree ≤ ``max_degree``.
 
     ``method`` selects the route: "rewriting" counts normal words of the

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .tensor import BudgetError, TensorElement
+from .tensor import DEFAULT_BUDGET_WORDS, BudgetError, TensorElement
 
 
 class RewritingError(ValueError):
@@ -45,7 +45,7 @@ class RewritingSystem:
     prefixes and proper suffixes of the earlier ones.
     """
 
-    def __init__(self, generators, relations, max_degree, budget_words=2_000_000):
+    def __init__(self, generators, relations, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
         self.degree = {}
         self.rank = {}
         for i, (name, deg) in enumerate(generators):

@@ -9,6 +9,9 @@ both enumerate through it.
 
 from __future__ import annotations
 
+# The word budget of every enumeration unless the caller sets one.
+DEFAULT_BUDGET_WORDS = 2_000_000
+
 
 class BudgetError(RuntimeError):
     """Word-count budget exhausted; carries the degree reached."""

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from momentangle.allday import (
     ModelError,
+    _build_model,
     a_element,
     build_fat_wedge_model,
     build_product_model,
@@ -14,7 +15,13 @@ from momentangle.allday import (
     generator_degree,
     homology_series,
 )
-from momentangle.complexes import ComplexError
+from momentangle.complexes import (
+    ComplexError,
+    SimplicialComplex,
+    parse_complex,
+    skeleton_complex,
+)
+from momentangle.presentations import build_sphere_presentation, graded_dimensions
 from momentangle.series import TruncatedSeries, free_gc_series, geometric_series
 
 
@@ -86,6 +93,55 @@ def test_d_squared_sweep_small():
             for build in (build_fat_wedge_model, build_product_model):
                 ok, witness = check_d_squared(build(dims), 14)
                 assert ok, (dims, build.__name__, witness)
+
+
+def _all_complexes(n):
+    """Every simplicial complex on the vertices 1..n (all singletons present)."""
+    candidates = [
+        f for k in range(2, n + 1) for f in itertools.combinations(range(1, n + 1), k)
+    ]
+    for mask in range(1 << len(candidates)):
+        faces = {f for i, f in enumerate(candidates) if mask >> i & 1}
+        if all(
+            g in faces
+            for f in faces
+            if len(f) > 2
+            for g in itertools.combinations(f, len(f) - 1)
+        ):
+            yield SimplicialComplex.from_faces(n, faces)
+
+
+def test_d_squared_on_every_complex():
+    # 2 + 9 + 114 = 125 complexes on 2..4 vertices.
+    seen = 0
+    for n in (2, 3, 4):
+        for K in _all_complexes(n):
+            seen += 1
+            for dims in itertools.product((1, 2), repeat=n):
+                ok, witness = check_d_squared(_build_model(K, dims), 6)
+                assert ok, (sorted(K.faces), dims, witness)
+    assert seen == 125
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (1, 2, 1, 2), (2, 2, 2, 2)])
+def test_models_match_the_sphere_presentation(dims):
+    # The fat wedge and the product are the polyhedral products over the
+    # boundary of the simplex and the simplex; the presentation is another
+    # route to the same loop homology.
+    n = len(dims)
+    simplex = SimplicialComplex.from_faces(n, [range(1, n + 1)])
+    for build, K in ((build_fat_wedge_model, skeleton_complex(n, 1)),
+                     (build_product_model, simplex)):
+        expected = graded_dimensions(build_sphere_presentation(K, dims), 8)
+        assert homology_series(build(dims), 8) == expected, build.__name__
+
+
+@pytest.mark.parametrize("name", ["K1", "K3", "tri", "pair"])
+def test_complex_model_matches_the_sphere_presentation(fixtures_dir, name):
+    K = parse_complex((fixtures_dir / f"{name}.sc").read_text())
+    for dims in ((1,) * K.n, tuple(1 + i % 2 for i in range(K.n))):
+        expected = graded_dimensions(build_sphere_presentation(K, dims), 6)
+        assert homology_series(_build_model(K, dims), 6) == expected, dims
 
 
 def test_d_squared_detects_corrupted_sign(corrupted_model):
