@@ -11,10 +11,14 @@ needed, so entries stay integers without any gcd step.  A pivot with any
 other entry scales the row by pivot/gcd and divides the result by the gcd
 of its entries, so there is no coefficient blow-up from rational
 arithmetic.  Every row stored as a pivot is normalized; results are exact.
+The remainder of a row modulo the pivots is taken over the rationals, and
+it turns to ``Fraction`` only through a pivot entry other than ±1.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -80,6 +84,37 @@ class IncrementalRank:
                 new[c] = new.get(c, 0) - v * b
             row = _normalize({c: v for c, v in new.items() if v})
         return False
+
+    def remainder(self, row):
+        """``row`` ({column: int or Fraction}) reduced modulo the pivot rows.
+
+        The result is the one vector that differs from ``row`` by a
+        rational combination of the pivot rows and has no entry in a pivot
+        column.  Pivot columns are cleared in increasing order; a pivot row
+        starts at its own column, so clearing one never refills a smaller
+        one.  The caller's dict is not modified.
+        """
+        row = {c: v for c, v in row.items() if v}
+        pivots = self.pivots
+        todo = [c for c in row if c in pivots]
+        todo.sort()  # a sorted list is a heap
+        while todo:
+            col = heappop(todo)
+            b = row.get(col)
+            if not b:  # cleared already, or a repeat in the heap
+                continue
+            pivot = pivots[col]
+            a = pivot[col]
+            f = a * b if a == 1 or a == -1 else Fraction(b, a)
+            for c, v in pivot.items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    if c not in row and c in pivots:
+                        heappush(todo, c)
+                    row[c] = nv
+                else:
+                    del row[c]
+        return row
 
 
 def sparse_rank(rows):

@@ -6,18 +6,20 @@ m_i) and the cp-case, which is the all-ones grading.  The target alone
 fixes the abelian part: the loop homology of CP^∞ is exterior on one class
 of degree 1, that of S^{m+1} is the polynomial algebra on one class of
 degree m, for every m.  Graded dimensions of the presented algebras are
-computed by degree-truncated rewriting, with a direct linear-algebra route
-as an independent oracle, and the kernel-generator series is extracted
-from the factorization total = abelian · 1/(1−g).
+computed by degree-truncated rewriting, with linear algebra in the quotient
+(A_d from A_{<d}, never listing words) as an independent check of the
+completion; both routes read the one presentation.  The kernel-generator
+series is extracted from the factorization total = abelian · 1/(1−g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .complexes import j_complement, missing_faces, sphere_grading
-from .linalg import sparse_rank
+from .linalg import IncrementalRank
 from .series import (
     FactorizationError,
     SeriesError,
@@ -26,7 +28,7 @@ from .series import (
     series_div_exact,
 )
 from .rewriting import RewritingSystem
-from .tensor import DEFAULT_BUDGET_WORDS, TensorElement, commutator, words_by_degree
+from .tensor import DEFAULT_BUDGET_WORDS, BudgetError, TensorElement, commutator
 
 
 class PresentationError(ValueError):
@@ -201,11 +203,15 @@ def graded_dimensions(p, max_degree, method="rewriting", budget_words=DEFAULT_BU
     """Dimensions of the presented algebra per degree ≤ ``max_degree``.
 
     ``method`` selects the route: "rewriting" counts normal words of the
-    completed rewriting system; "linear" computes, per degree, the rank of
-    the span of all word·relation·word products by exact integer
-    elimination.  The two routes are independent and must agree.  Both
-    raise :class:`BudgetError` when they would count or list more than
-    ``budget_words`` words.
+    completed rewriting system; "linear" computes A_d from A_{<d} by exact
+    linear algebra in the quotient, as the coordinates (a, s) of a generator
+    a and a basis element s of A_{d−|a|} modulo one row r·s per relation r
+    and basis element s of A_{d−|r|}.  Both routes read the same
+    presentation, so their agreement checks the rewriting completion, not
+    the presentation.  The rewriting route raises :class:`BudgetError` when
+    it would count more than ``budget_words`` normal words; the linear
+    route raises it, naming the degree, when the coordinates it creates,
+    summed over the degrees, would exceed ``budget_words``.
     """
     if method == "rewriting":
         rs = rewriting_system(p, max_degree, budget_words)
@@ -216,34 +222,55 @@ def graded_dimensions(p, max_degree, method="rewriting", budget_words=DEFAULT_BU
 
 
 def _graded_dimensions_linear(p, max_degree, budget_words):
-    # Each word is read backwards, which orders each degree by its last
-    # letter first.  The rank kernel pivots on the smallest column; this
-    # numbering keeps its work, and its time from one labeling to the next,
-    # lower and steadier than the lexicographic one.
-    words = [[w[::-1] for w in layer]
-             for layer in words_by_degree(p.generator_pairs(), max_degree, budget_words)]
-    dims = [0] * (max_degree + 1)
-    dims[0] = 1
+    # Degree d works in C_d = ⊕_a a ⊗ A_{d−|a|}, whose coordinates are the
+    # pairs (a, s) of a generator and a basis element of the lower degree.
+    # Since I_d = Σ_a a·I_{d−|a|} + Σ_r r·W_{d−|r|}, the kernel of
+    # C_d → A_d is spanned by the images of r·s for s in a basis of
+    # A_{d−|r|} (well defined because r·I ⊂ I), so A_d is C_d modulo those
+    # rows and its basis is the columns that are not pivots.  basis[e] lists
+    # the non-pivot columns of degree e and column[e] numbers that degree's
+    # pairs; degree 0 has the unit as its one column.
+    letter = {g.name: k for k, g in enumerate(p.generators)}
+    degree = [g.degree for g in p.generators]
+    relations = [(p.relation_degree(rel),
+                  [(letter[w[0]], [letter[x] for x in reversed(w[1:])], c)
+                   for w, c in rel.items()])
+                 for rel in p.relations]
+    basis, column, echelon = [[0]], [None], [None]
+    spent = 0
     for d in range(1, max_degree + 1):
-        index = {w: i for i, w in enumerate(words[d])}
-        dims[d] = len(words[d]) - sparse_rank(_relation_rows(p, words, index, d))
-    return TruncatedSeries.from_coeffs(dims, max_degree)
+        spent += sum(len(basis[d - da]) for da in degree if da <= d)
+        if spent > budget_words:
+            raise BudgetError(d, f"coordinate budget {budget_words} exhausted")
+        pairs = ((a, t) for a, da in enumerate(degree) if da <= d for t in basis[d - da])
+        index = {pair: k for k, pair in enumerate(pairs)}
+        column.append(index)
+        echelon.append(IncrementalRank())
+        for r, terms in relations:
+            if r > d:
+                continue
+            for s in basis[d - r]:
+                row = {}
+                for a, tail, c in terms:
+                    # [w′·s], folding the letters of w′ in from the right.
+                    e, v = d - r, {s: c}
+                    for x in tail:
+                        e += degree[x]
+                        v = echelon[e].remainder({column[e][x, t]: ct for t, ct in v.items()})
+                    for t, ct in v.items():
+                        k = index[a, t]
+                        row[k] = row.get(k, 0) + ct
+                echelon[d].add(_integral(row))
+        basis.append([k for k in range(len(index)) if k not in echelon[d].pivots])
+    return TruncatedSeries.from_coeffs([len(b) for b in basis], max_degree)
 
 
-def _relation_rows(p, words, index, d):
-    # One row over ``index`` per product x·rel·y of degree d, made as the
-    # rank kernel asks for it, so no degree's rows are held all at once.
-    # Distinct words w of rel give distinct words x·w·y, so no column
-    # repeats within a row.
-    for rel in p.relations:
-        r = p.relation_degree(rel)
-        if r > d:
-            continue
-        terms = list(rel.items())
-        for a in range(d - r + 1):
-            for x in words[a]:
-                for y in words[d - r - a]:
-                    yield {index[x + w + y]: c for w, c in terms}
+def _integral(row):
+    """``row`` scaled by the lcm of its denominators, so its entries are ints."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    m = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * m) for k, v in row.items()}
 
 
 def kernel_generator_series(total, abelian_part):

@@ -3,8 +3,7 @@
 A word is a tuple of letters; what a letter is (an index set, a generator
 id) is the caller's business, together with a degree map.  Coefficients are
 exact (int or Fraction).  ``words_by_degree`` lists every word of a graded
-alphabet under a word budget; the Allday homology and the linear oracle
-both enumerate through it.
+alphabet under a word budget; the Allday homology enumerates through it.
 """
 
 from __future__ import annotations

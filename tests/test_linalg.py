@@ -88,3 +88,30 @@ def test_non_unit_pivot_examples():
     assert sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
     assert sparse_rank([{0: 4, 2: 6}, {0: 6, 1: 3}, {1: 3, 2: -9}]) == 2
     assert sparse_rank([{}, {5: 0}, {1: 0, 2: 0}]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(mixed_entries), matrices(non_unit_entries)),
+       st.dictionaries(columns, mixed_entries, max_size=6))
+def test_remainder_clears_pivots_within_the_row_space(rows, row):
+    acc = IncrementalRank()
+    for r in rows:
+        acc.add(r)
+    before = dict(row)
+    rem = acc.remainder(row)
+    assert row == before
+    assert all(rem.values()) and not set(rem) & set(acc.pivots)
+    # row − rem lies in the span of the rows.
+    diff = {c: row.get(c, 0) - rem.get(c, 0) for c in set(row) | set(rem)}
+    assert dense_rank(rows + [diff]) == dense_rank(rows)
+
+
+def test_remainder_examples():
+    acc = IncrementalRank()
+    acc.add({0: 1, 2: 3})
+    acc.add({1: 2, 2: 1})
+    rem = acc.remainder({0: 2, 3: 1})
+    assert rem == {2: -6, 3: 1} and all(type(v) is int for v in rem.values())
+    # Only the non-unit pivot brings in a fraction: −(5/2)·(0, 2, 1).
+    assert acc.remainder({1: 5}) == {2: Fraction(-5, 2)}
+    assert acc.remainder({0: 1, 1: 1}) == {2: Fraction(-7, 2)}

@@ -31,7 +31,7 @@ from momentangle.series import (
     free_gc_series,
     geometric_series,
 )
-from momentangle.tensor import TensorElement, commutator
+from momentangle.tensor import BudgetError, TensorElement, commutator
 
 
 def test_cp_presentation_structure(K1):
@@ -111,20 +111,48 @@ def test_graded_dimensions_skeleton31():
 @pytest.mark.parametrize("method", ["rewriting", "linear"])
 def test_graded_dimensions_methods_agree_on_K1(K1, method):
     p = build_cp_presentation(K1)
-    assert graded_dimensions(p, 6, method=method)[6] == 32
+    assert graded_dimensions(p, 10, method=method).coeffs == (
+        1, 4, 7, 8, 10, 18, 32, 48, 68, 104, 168)
 
 
-def test_oracle_equivalence(K1, triangle_boundary):
+def test_oracle_equivalence(K1, K3, triangle_boundary, fixtures_dir):
+    wheel = parse_complex((fixtures_dir / "wheel.sc").read_text())
     fixtures = [
-        build_cp_presentation(K1),
-        build_cp_presentation(triangle_boundary),
-        build_cp_presentation(skeleton_complex(4, 2)),
-        build_sphere_presentation(triangle_boundary, (1, 2, 1)),
+        (build_cp_presentation(K1), 7),
+        (build_cp_presentation(triangle_boundary), 7),
+        (build_cp_presentation(skeleton_complex(4, 2)), 7),
+        (build_sphere_presentation(triangle_boundary, (1, 2, 1)), 7),
+        (build_cp_presentation(K3), 9),
+        (build_cp_presentation(wheel), 9),
+        (build_sphere_presentation(wheel, (1, 2, 1, 2, 1)), 9),
     ]
-    for p in fixtures:
-        rw = graded_dimensions(p, 7, method="rewriting")
-        lin = graded_dimensions(p, 7, method="linear")
+    for p, bound in fixtures:
+        rw = graded_dimensions(p, bound, method="rewriting")
+        lin = graded_dimensions(p, bound, method="linear")
         assert rw == lin, p.target
+
+
+def test_linear_oracle_K3_within_the_default_budget(K3):
+    # The oracle's coordinates grow with dim A_d, not with the number of words.
+    total = graded_dimensions(build_cp_presentation(K3), 11, method="linear")
+    assert total.coeffs == (1, 5, 13, 27, 57, 129, 297, 675, 1521, 3429, 7749, 17523)
+
+
+def test_linear_oracle_budget_names_the_degree(K1):
+    # K1's coordinates (a, s): 4 in degree 1, 4·4 in degree 2, 4·7 in degree 3.
+    p = build_cp_presentation(K1)
+    assert graded_dimensions(p, 2, method="linear", budget_words=20).coeffs == (1, 4, 7)
+    with pytest.raises(BudgetError) as info:
+        graded_dimensions(p, 3, method="linear", budget_words=20)
+    assert info.value.degree == 3
+    assert "budget 20" in str(info.value)
+
+
+def test_linear_oracle_deep_degree_does_not_recurse():
+    # Two disjoint points: b1² = b2² = 0, so A_d is spanned by the two
+    # alternating words.  Each degree folds in the one below it.
+    p = build_cp_presentation(SimplicialComplex.from_faces(2, []))
+    assert graded_dimensions(p, 1000, method="linear").coeffs == (1,) + (2,) * 1000
 
 
 def test_kernel_generator_series_K1(K1):

@@ -152,6 +152,21 @@ def test_completion_of_non_monomial_relations(case):
                 assert rs.normal_form(s).is_zero(), (u, v, k)
 
 
+@pytest.mark.parametrize("method", ["rewriting", "linear"])
+@pytest.mark.parametrize("degrees, relations, expected", [
+    # Free on degrees 1 and 2: dim A_d = dim A_{d−1} + dim A_{d−2}.
+    ({"a": 1, "b": 2}, [], (1, 1, 2, 3, 5, 8, 13, 21, 34)),
+    # Commutative, ab = ba; then the quantum planes ab = 2ba and 2ab = ba.
+    # Each has the basis b^i a^j: dimension d + 1 in degree d.
+    ({"a": 1, "b": 1}, [{("a", "b"): 1, ("b", "a"): -1}], tuple(range(1, 10))),
+    ({"a": 1, "b": 1}, [{("a", "b"): 1, ("b", "a"): -2}], tuple(range(1, 10))),
+    ({"a": 1, "b": 1}, [{("a", "b"): 2, ("b", "a"): -1}], tuple(range(1, 10))),
+], ids=["free", "commutative", "quantum-plane-2", "quantum-plane-1/2"])
+def test_graded_dimensions_hand_computed(degrees, relations, expected, method):
+    total = graded_dimensions(presentation(degrees, relations), 8, method=method)
+    assert total.coeffs == expected
+
+
 @pytest.mark.parametrize("n, k, bound, count", [(6, 4, 7, 231), (7, 5, 8, 658)])
 def test_skeleton_forbidden_word_count(n, k, bound, count):
     # Counts of the minimal forbidden words, recorded before the completion
