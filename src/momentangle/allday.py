@@ -5,12 +5,18 @@ of degree (sum of (m_i + 1) over I) - 1; its differential is the signed sum
 of graded commutators over type-II shuffles of I.  Homology is computed
 degreewise by exact integer linear algebra; the differential preserves the
 vertex-content multidegree of a word, which splits the computation into
-small independent blocks.
+small independent blocks.  Permuting vertices with equal m_i that K allows
+carries blocks onto blocks of the same rank once the generators are given
+signs; those signs are computed and checked against d for each
+transposition, and only one block per orbit of the certified permutations
+is eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import factorial
 
 from .complexes import SimplicialComplex, skeleton_complex, sphere_grading
 from .linalg import sparse_rank
@@ -171,6 +177,85 @@ def check_d_squared(model, max_degree):
     return True, None
 
 
+def _relabeling_signs(model, p):
+    """Signs that make a vertex relabeling an automorphism of the model.
+
+    ``p`` maps each vertex to a vertex.  Returns {I: eps_I} with every
+    eps_I = ±1 such that phi(b_I) = eps_I b_{p(I)} commutes with d, or None
+    when there are none.  The generators are walked in (length, lex) order,
+    so the letters of d(b_I) have their signs already; eps_I is forced by
+    one term of d(b_{p(I)}) (+1 when that is zero, singletons among them),
+    and then phi(d b_I) = eps_I d(b_{p(I)}) is checked term by term.  phi
+    preserves degrees and is an algebra map, so agreeing with d on the
+    generators means it commutes with d on every word.
+    """
+    relabel = lambda I: tuple(sorted(p[i] for i in I))
+    generators = set(model.generators)
+    eps = {}
+    for I in model.generators:
+        pI = relabel(I)
+        if pI not in generators or model.degree_of(pI) != model.degree_of(I):
+            return None
+        image = TensorElement.zero()
+        for word, coeff in model.differential[I].items():
+            if any(x not in eps for x in word):
+                return None
+            for x in word:
+                coeff *= eps[x]
+            image.add_term(tuple(map(relabel, word)), coeff)
+        target = model.differential[pI]
+        sign = 1
+        if target:
+            word, coeff = next(iter(target.items()))
+            sign = -1 if image.get(word) == -coeff else 1
+        if image != target.scale(sign):
+            return None
+        eps[I] = sign
+    return eps
+
+
+def _vertex_classes(model):
+    """Vertex classes of the relabeling symmetries that the model certifies.
+
+    A transposition (i j) with m_i = m_j joins the classes of i and j when
+    :func:`_relabeling_signs` finds its signs.  Transpositions generate the
+    symmetric group on each class, and automorphisms compose, so every
+    permutation within the classes is an automorphism; a pair already in
+    one class needs no check.  Classes of one vertex are left out.
+    """
+    n = len(model.dims)
+    classes = [[v] for v in range(1, n + 1)]
+    for i, j in combinations(range(1, n + 1), 2):
+        ci = next(c for c in classes if i in c)
+        cj = next(c for c in classes if j in c)
+        if ci is cj or model.dims[i - 1] != model.dims[j - 1]:
+            continue
+        p = {v: v for v in range(1, n + 1)}
+        p[i], p[j] = j, i
+        if _relabeling_signs(model, p) is not None:
+            ci.extend(cj)
+            classes.remove(cj)
+    return [sorted(c) for c in classes if len(c) > 1]
+
+
+def _orbit_weight(content, classes, B):
+    """Size of the orbit of a content if it represents it, else 0.
+
+    ``content`` holds vertex v's multiplicity as its base-B digit v - 1.
+    The representative has non-increasing digits within each class; its
+    orbit has, per class, the multinomial count of distinct arrangements.
+    """
+    weight = 1
+    for c in classes:
+        digits = [content // B ** (v - 1) % B for v in c]
+        if any(a < b for a, b in zip(digits, digits[1:])):
+            return 0
+        weight *= factorial(len(digits))
+        for k in set(digits):
+            weight //= factorial(digits.count(k))
+    return weight
+
+
 def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     """Graded dimensions of the model's homology through ``max_degree``.
 
@@ -182,12 +267,22 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     content one degree lower; ranks are computed blockwise by exact
     integer elimination.  Raises :class:`BudgetError` when the words
     through degree ``max_degree + 1`` number more than ``budget_words``.
+
+    Ranks are taken once per symmetry orbit of contents.  A vertex
+    permutation within the classes of :func:`_vertex_classes` is, with
+    the signs :func:`_relabeling_signs` certifies, an automorphism of the
+    model; it carries each block onto the block of the permuted content
+    by a signed permutation of rows and columns, so both have one rank.
+    Only the representative content of each orbit is eliminated, and its
+    rank counts once per orbit member.  With no certified symmetry every
+    block is its own orbit.
     """
     ok, witness = check_d_squared(model, max_degree + 1)
     if not ok:
         raise ModelError(f"differential does not square to zero, witness {witness}")
     letters = [(I, model.degree_of(I)) for I in model.generators]
     layers = words_by_degree(letters, max_degree + 1, budget_words)
+    classes = _vertex_classes(model)
     # A word's content vector, written as one integer in base B: no vertex
     # occurs more than max_degree + 1 < B times in a word of these degrees.
     B = max_degree + 2
@@ -202,6 +297,9 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
             target = below.get(content)
             if target is None:
                 continue
+            weight = _orbit_weight(content, classes, B)
+            if not weight:
+                continue
             # The kernel pivots on the smallest column; numbering the target
             # backwards makes that the last word in enumeration order, which
             # keeps elimination chains short on these lexicographic lists.
@@ -210,7 +308,7 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
             for w in words:
                 image = model.d_word(w)
                 rows.append({index[iw]: c for iw, c in image.items()})
-            ranks[d] += sparse_rank(rows)
+            ranks[d] += weight * sparse_rank(rows)
         below = blocks
     out = [len(layers[d]) - ranks[d] - ranks[d + 1] for d in range(max_degree + 1)]
     return TruncatedSeries(cutoff=max_degree, coeffs=tuple(out))

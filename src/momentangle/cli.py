@@ -4,7 +4,7 @@ Subcommands: analyze, decompose, loop-homology, allday, porter, check.
 Output is deterministic text, or JSON with --json.  Exit codes: 0 clean,
 1 flagged disagreement or failed series factorization, 2 parse or usage
 error, 3 violated precondition (a failed d^2 certificate among them) or
-exhausted word budget.
+exhausted word budget, 4 internal error (a bug, reported in one line).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ EXIT_OK = 0
 EXIT_FLAGGED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _series_text(series):
@@ -328,6 +329,9 @@ def main(argv=None):
     except (ComplexError, ModelError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         if args.json:
             print(json.dumps(doc, indent=2))

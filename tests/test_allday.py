@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentangle import allday
 from momentangle.allday import (
+    DGAModel,
     ModelError,
     _build_model,
     a_element,
@@ -21,8 +23,10 @@ from momentangle.complexes import (
     parse_complex,
     skeleton_complex,
 )
+from momentangle.linalg import sparse_rank
 from momentangle.presentations import build_sphere_presentation, graded_dimensions
 from momentangle.series import TruncatedSeries, free_gc_series, geometric_series
+from momentangle.tensor import TensorElement
 
 
 def test_generator_degree():
@@ -121,6 +125,72 @@ def test_d_squared_on_every_complex():
                 ok, witness = check_d_squared(_build_model(K, dims), 6)
                 assert ok, (sorted(K.faces), dims, witness)
     assert seen == 125
+
+
+def test_orbit_ranks_match_every_block_on_every_complex(monkeypatch):
+    # Ranks taken once per symmetry orbit against every block eliminated.
+    models = [_build_model(K, dims) for n in (2, 3, 4) for K in _all_complexes(n)
+              for dims in itertools.product((1, 2), repeat=n)]
+    assert len(models) == 1904
+    reduced = [homology_series(m, 5) for m in models]
+    monkeypatch.setattr(allday, "_vertex_classes", lambda model: [])
+    assert [homology_series(m, 5) for m in models] == reduced
+
+
+def _fat_wedge_111_without_d12():
+    # d(b_12) = 0 keeps d^2 = 0, since the boundary of the 2-simplex has no
+    # 2-face; it breaks the symmetries that move the pair {1, 2}.
+    m = build_fat_wedge_model((1, 1, 1))
+    diff = dict(m.differential)
+    diff[(1, 2)] = TensorElement.zero()
+    return DGAModel(dims=m.dims, generators=m.generators, differential=diff)
+
+
+def test_only_certified_relabelings_join_classes(monkeypatch):
+    model = _fat_wedge_111_without_d12()
+    assert allday._vertex_classes(model) == [[1, 2]]
+    assert allday._relabeling_signs(model, {1: 1, 2: 3, 3: 2}) is None
+    h = homology_series(model, 6)
+    assert h.coeffs == (1, 3, 7, 16, 37, 86, 200)
+    monkeypatch.setattr(allday, "_vertex_classes", lambda model: [])
+    assert homology_series(model, 6) == h
+    # An uncertified class would weight the wrong blocks.
+    monkeypatch.setattr(allday, "_vertex_classes", lambda model: [[1, 2, 3]])
+    assert homology_series(model, 6).coeffs[:5] == (1, 3, 9, 26, 68)
+
+
+def test_relabeling_signs_commute_with_d():
+    # Swapping 1 and 2 in the (2,2,2,2) fat wedge needs b_12 -> -b_12: the
+    # plain relabeling is not a chain map, the signed one is.
+    model = build_fat_wedge_model((2, 2, 2, 2))
+    p = {1: 2, 2: 1, 3: 3, 4: 4}
+    eps = allday._relabeling_signs(model, p)
+    assert eps is not None and eps[(1, 2)] == -1
+    relabel = lambda x: tuple(sorted(p[i] for i in x))
+    for I in model.generators:
+        image = TensorElement.zero()
+        for word, c in model.differential[I].items():
+            for x in word:
+                c *= eps[x]
+            image.add_term(tuple(map(relabel, word)), c)
+        assert image == model.differential[relabel(I)].scale(eps[I]), I
+
+
+def test_orbit_shortcut_skips_most_eliminations(monkeypatch):
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(allday, "sparse_rank", counting_rank)
+    model = build_fat_wedge_model((2, 2, 2, 2))
+    h = homology_series(model, 10)
+    reduced = len(calls)
+    calls.clear()
+    monkeypatch.setattr(allday, "_vertex_classes", lambda model: [])
+    assert homology_series(model, 10) == h
+    assert 0 < reduced < len(calls) / 3
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (1, 2, 1, 2), (2, 2, 2, 2)])

@@ -376,16 +376,26 @@ def _csv(ms):
 @given(st.data())
 def test_fuzz_exit_codes_keep_the_contract(tmp_path, data):
     # Random small complexes and option sets: every run ends in 0, 1, 2 or 3,
-    # and nothing but argparse's SystemExit(2) escapes ``main``.  The complex
-    # has as faces the subsets of 1..n that contain none of the drawn sets.
+    # and nothing but argparse's SystemExit(2) escapes ``main``; an internal
+    # error (exit 4) fails the test.  The complex has as faces the subsets of
+    # 1..n that contain none of the drawn sets, written in the line grammar
+    # or as a JSON document, whose faces may also be malformed.
     n = data.draw(st.integers(1, 5), "n")
     non_faces = data.draw(st.lists(st.sets(st.integers(1, n), min_size=2), max_size=4)
                           if n > 1 else st.just([]), "non-faces")
     faces = [f for k in range(1, n + 1) for f in itertools.combinations(range(1, n + 1), k)
              if not any(s <= set(f) for s in non_faces)]
-    path = tmp_path / "K.sc"
-    path.write_text(f"vertices: {n}\n"
-                    + "".join("face: " + " ".join(map(str, f)) + "\n" for f in faces))
+    if data.draw(st.booleans(), "JSON"):
+        path = tmp_path / "K.json"
+        doc_faces = data.draw(st.one_of(
+            st.just([list(f) for f in faces]),
+            st.sampled_from([[[1, True]], "1 2", [[]], [[0]], [[1, 1]], [[n + 1]]])),
+            "JSON faces")
+        path.write_text(json.dumps({"vertices": n, "faces": doc_faces}))
+    else:
+        path = tmp_path / "K.sc"
+        path.write_text(f"vertices: {n}\n"
+                        + "".join("face: " + " ".join(map(str, f)) + "\n" for f in faces))
     sub = data.draw(st.sampled_from(SUBCOMMANDS), "subcommand")
     target = data.draw(st.sampled_from(["spheres", None, "cp"]), "target")
     dims = data.draw(st.one_of(
@@ -411,6 +421,17 @@ def test_fuzz_exit_codes_keep_the_contract(tmp_path, data):
     if sub != "analyze" and dims is not None:
         argv += ["--dims", dims]
     assert exit_code(argv) in (0, 1, 2, 3)
+
+
+def test_internal_error_exits_4_with_one_line(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "porter_fnk", broken)
+    assert exit_code(["porter", "4", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: boom\n"
 
 
 def test_main_is_callable_in_process(fixtures_dir, capsys):
