@@ -9,7 +9,9 @@ small independent blocks.  Permuting vertices with equal m_i that K allows
 carries blocks onto blocks of the same rank once the generators are given
 signs; those signs are computed and checked against d for each
 transposition, and only one block per orbit of the certified permutations
-is eliminated.
+is eliminated.  Words are built only for the eliminated blocks and the
+shorter words they end in; the words of each degree are counted, not
+listed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .series import (
     shuffle_sign,
     type2_shuffles,
 )
-from .tensor import DEFAULT_BUDGET_WORDS, TensorElement, commutator, words_by_degree
+from .tensor import DEFAULT_BUDGET_WORDS, TensorElement, commutator, word_counts
 
 
 class ModelError(ValueError):
@@ -87,6 +89,16 @@ class DGAModel:
 
     def degree_of(self, I):
         return generator_degree(I, self.dims)
+
+    def below(self, max_degree):
+        """The sub-model on the generators of degree <= ``max_degree``.
+
+        d lowers degrees by one and every letter has degree >= 1, so the
+        letters of d(b_I) have smaller degrees than b_I: the sub-model is
+        closed under d, and it holds every word through ``max_degree``.
+        """
+        gens = tuple(I for I in self.generators if self.degree_of(I) <= max_degree)
+        return DGAModel(self.dims, gens, {I: self.differential[I] for I in gens})
 
     def d_word(self, word):
         """Derivation extension: d(xy) = d(x)y + (-1)^|x| x d(y)."""
@@ -159,15 +171,14 @@ def check_d_squared(model, max_degree):
     exercise the sign handling of the extension.  Returns (True, None) or
     (False, witness_word).
     """
-    for I in model.generators:
-        if model.degree_of(I) > max_degree:
-            continue
+    low = [I for I in model.generators if model.degree_of(I) <= max_degree]
+    for I in low:
         dd = model.d_element(model.differential[I])
         if not dd.is_zero():
             witness = min(dd, key=lambda w: (len(w), w))
             return False, witness
-    for I in model.generators:
-        for J in model.generators:
+    for I in low:
+        for J in low:
             if model.degree_of(I) + model.degree_of(J) > max_degree:
                 continue
             dd = model.d_element(model.d_word((I, J)))
@@ -238,22 +249,89 @@ def _vertex_classes(model):
     return [sorted(c) for c in classes if len(c) > 1]
 
 
-def _orbit_weight(content, classes, B):
+def _orbit_weight(content, classes):
     """Size of the orbit of a content if it represents it, else 0.
 
-    ``content`` holds vertex v's multiplicity as its base-B digit v - 1.
-    The representative has non-increasing digits within each class; its
-    orbit has, per class, the multinomial count of distinct arrangements.
+    ``content`` holds vertex v's multiplicity at index v - 1.  The
+    representative is non-increasing within each class; its orbit has,
+    per class, the multinomial count of distinct arrangements.
     """
     weight = 1
     for c in classes:
-        digits = [content // B ** (v - 1) % B for v in c]
+        digits = [content[v - 1] for v in c]
         if any(a < b for a, b in zip(digits, digits[1:])):
             return 0
         weight *= factorial(len(digits))
         for k in set(digits):
             weight //= factorial(digits.count(k))
     return weight
+
+
+def _contents(dims, max_degree):
+    """Every content c with sum of c_i * m_i at most ``max_degree``.
+
+    That sum is the degree of the word of singleton letters of content c,
+    the lowest degree of any word of that content.
+    """
+    partial = [((), 0)]
+    for m in dims:
+        partial = [
+            (c + (k,), low + k * m)
+            for c, low in partial
+            for k in range((max_degree - low) // m + 1)
+        ]
+    return [c for c, _ in partial]
+
+
+class _ContentWords:
+    """The words of one content and one length, built on demand.
+
+    ``self(content, length)`` lists the words over ``generators`` with
+    ``length`` letters whose letters together hold vertex v
+    ``content[v - 1]`` times, in lexicographic generator order: each
+    generator I inside the content, in the given order, followed by every
+    word of content minus I with one letter fewer.  Each list is built
+    once and kept in ``memo`` for the longer words that end in it.  The
+    recursion runs on an explicit stack, so no call depth grows with the
+    word length.
+    """
+
+    def __init__(self, generators, n):
+        self.letters = [(I, [v - 1 for v in I]) for I in generators]
+        self.memo = {((0,) * n, 0): [()]}
+
+    def _firsts(self, content):
+        """(I, content minus I) for each generator I inside ``content``."""
+        out = []
+        for I, vs in self.letters:
+            if all(content[v] for v in vs):
+                rest = list(content)
+                for v in vs:
+                    rest[v] -= 1
+                out.append((I, tuple(rest)))
+        return out
+
+    def __call__(self, content, length):
+        memo = self.memo
+        stack = [(content, length)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            c, L = key
+            # A letter holds at least one vertex, and each vertex at most once.
+            if not max(c) <= L <= sum(c):
+                memo[key] = []
+                continue
+            firsts = self._firsts(c)
+            missing = [(rest, L - 1) for _, rest in firsts if (rest, L - 1) not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            memo[key] = [(I,) + w for I, rest in firsts for w in memo[rest, L - 1]]
+        return memo[content, length]
 
 
 def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
@@ -265,8 +343,17 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     letters) and lowers the degree by one, so each degree splits into
     blocks by content, and each block maps into the block of the same
     content one degree lower; ranks are computed blockwise by exact
-    integer elimination.  Raises :class:`BudgetError` when the words
-    through degree ``max_degree + 1`` number more than ``budget_words``.
+    integer elimination.  A word of content c with L letters has degree
+    sum of c_i (m_i + 1), minus L, so d maps the block of L letters to
+    the block of L + 1 letters.
+
+    Only the generators of degree <= ``max_degree + 1`` are read (the
+    d^2 certificate and the symmetry search included): words through that
+    degree hold no other letter, and those generators span a sub-model
+    closed under d.  The words of each degree are counted by a recurrence
+    on the generator degrees, never listed; :class:`BudgetError` is raised
+    when they number more than ``budget_words`` through degree
+    ``max_degree + 1``, the empty word included.
 
     Ranks are taken once per symmetry orbit of contents.  A vertex
     permutation within the classes of :func:`_vertex_classes` is, with
@@ -275,42 +362,38 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     by a signed permutation of rows and columns, so both have one rank.
     Only the representative content of each orbit is eliminated, and its
     rank counts once per orbit member.  With no certified symmetry every
-    block is its own orbit.
+    block is its own orbit.  Words are built only for the blocks that are
+    eliminated and for the shorter words those end in.
     """
-    ok, witness = check_d_squared(model, max_degree + 1)
+    top = max_degree + 1
+    model = model.below(top)
+    ok, witness = check_d_squared(model, top)
     if not ok:
         raise ModelError(f"differential does not square to zero, witness {witness}")
-    letters = [(I, model.degree_of(I)) for I in model.generators]
-    layers = words_by_degree(letters, max_degree + 1, budget_words)
+    counts = word_counts([model.degree_of(I) for I in model.generators], top, budget_words)
     classes = _vertex_classes(model)
-    # A word's content vector, written as one integer in base B: no vertex
-    # occurs more than max_degree + 1 < B times in a word of these degrees.
-    B = max_degree + 2
-    code = {I: sum(B ** (i - 1) for i in I) for I in model.generators}
-    ranks = [0] * (max_degree + 2)  # ranks[d]: rank of d on degree d
-    below = {}
-    for d, layer in enumerate(layers):
-        blocks = {}
-        for w in layer:
-            blocks.setdefault(sum(map(code.__getitem__, w)), []).append(w)
-        for content, words in blocks.items():
-            target = below.get(content)
-            if target is None:
-                continue
-            weight = _orbit_weight(content, classes, B)
-            if not weight:
+    words = _ContentWords(model.generators, len(model.dims))
+    ranks = [0] * (top + 1)  # ranks[d]: rank of d on degree d
+    for content in _contents(model.dims, top):
+        weight = _orbit_weight(content, classes)
+        if not weight:
+            continue
+        size = sum(c * (m + 1) for c, m in zip(content, model.dims))
+        for length in range(max(1, size - top), sum(content)):
+            target = words(content, length + 1)
+            source = target and words(content, length)
+            if not source:
                 continue
             # The kernel pivots on the smallest column; numbering the target
             # backwards makes that the last word in enumeration order, which
             # keeps elimination chains short on these lexicographic lists.
             index = {w: -i for i, w in enumerate(target)}
             rows = []
-            for w in words:
+            for w in source:
                 image = model.d_word(w)
                 rows.append({index[iw]: c for iw, c in image.items()})
-            ranks[d] += weight * sparse_rank(rows)
-        below = blocks
-    out = [len(layers[d]) - ranks[d] - ranks[d + 1] for d in range(max_degree + 1)]
+            ranks[size - length] += weight * sparse_rank(rows)
+    out = [counts[d] - ranks[d] - ranks[d + 1] for d in range(max_degree + 1)]
     return TruncatedSeries(cutoff=max_degree, coeffs=tuple(out))
 
 

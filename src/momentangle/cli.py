@@ -194,15 +194,15 @@ def cmd_allday(args):
     # homology_series certifies d^2 = 0 through degree D + 1 before it
     # counts, and raises ModelError with the witness word if it fails.
     h = homology_series(model, D, args.budget_words)
+    degree_counts = model.generator_degree_counts()
     lines = [
-        "generator degrees: "
-        + " ".join(f"{d}:{c}" for d, c in model.generator_degree_counts().items()),
+        "generator degrees: " + " ".join(f"{d}:{c}" for d, c in degree_counts.items()),
         "d^2=0: ok",
     ]
     doc = {
         "dims": list(model.dims),
         "model": args.model,
-        "generator_degree_counts": {str(d): c for d, c in model.generator_degree_counts().items()},
+        "generator_degree_counts": {str(d): c for d, c in degree_counts.items()},
         "d_squared_zero": True,
     }
     code = EXIT_OK

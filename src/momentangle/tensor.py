@@ -2,8 +2,9 @@
 
 A word is a tuple of letters; what a letter is (an index set, a generator
 id) is the caller's business, together with a degree map.  Coefficients are
-exact (int or Fraction).  ``words_by_degree`` lists every word of a graded
-alphabet under a word budget; the Allday homology enumerates through it.
+exact (int or Fraction).  ``word_counts`` counts the words of a graded
+alphabet degree by degree under a word budget; the Allday homology reads
+its word counts there and builds only the words it ranks.
 """
 
 from __future__ import annotations
@@ -92,26 +93,22 @@ def _homogeneous_degree(el, degree_of):
     return next(iter(degs))
 
 
-def words_by_degree(letters, max_degree, budget_words):
-    """Every word in ``letters``, listed by degree through ``max_degree``.
+def word_counts(degrees, max_degree, budget_words):
+    """Number of words of each degree through ``max_degree``.
 
-    ``letters`` is a sequence of (letter, degree) pairs with degrees >= 1,
-    and ``max_degree`` >= 0.  Entry d of the returned list holds the words
-    of degree d: (x,) + w for each letter x in the given order and each
-    word w of degree d − |x|, so each degree is in lexicographic order.
-    The words are counted first: :class:`BudgetError` is raised, before
-    any word is built, when the number of words through ``max_degree``,
-    the empty word included, exceeds ``budget_words``.
+    ``degrees`` holds the degree, >= 1, of each letter, and ``max_degree``
+    >= 0.  Entry d of the returned list counts the words of degree d, by
+    the recurrence (words of degree d) = sum over letters x of (words of
+    degree d - |x|).  :class:`BudgetError` names the first degree through
+    which the words, the empty word included, number more than
+    ``budget_words``.
     """
     counts = [1]
     total = 0
     for d in range(max_degree + 1):
         if d:
-            counts.append(sum(counts[d - dx] for _, dx in letters if dx <= d))
+            counts.append(sum(counts[d - dx] for dx in degrees if dx <= d))
         total += counts[d]
         if total > budget_words:
             raise BudgetError(d, f"word budget {budget_words} exhausted")
-    layers = [[()]]
-    for d in range(1, max_degree + 1):
-        layers.append([(x,) + w for x, dx in letters if dx <= d for w in layers[d - dx]])
-    return layers
+    return counts

@@ -26,7 +26,7 @@ from momentangle.complexes import (
 from momentangle.linalg import sparse_rank
 from momentangle.presentations import build_sphere_presentation, graded_dimensions
 from momentangle.series import TruncatedSeries, free_gc_series, geometric_series
-from momentangle.tensor import TensorElement
+from momentangle.tensor import DEFAULT_BUDGET_WORDS, TensorElement, word_counts
 
 
 def test_generator_degree():
@@ -191,6 +191,73 @@ def test_orbit_shortcut_skips_most_eliminations(monkeypatch):
     monkeypatch.setattr(allday, "_vertex_classes", lambda model: [])
     assert homology_series(model, 10) == h
     assert 0 < reduced < len(calls) / 3
+
+
+def test_symmetry_is_read_only_through_the_top_degree(monkeypatch):
+    # d(b_123) = 0 keeps d^2 = 0 (no face of the boundary of the 3-simplex
+    # contains 123) and breaks every symmetry that moves vertex 4.  b_123
+    # has degree 5, so through degree 3 + 1 all four vertices are one class.
+    m = build_fat_wedge_model((1, 1, 1, 1))
+    diff = dict(m.differential)
+    diff[(1, 2, 3)] = TensorElement.zero()
+    model = DGAModel(dims=m.dims, generators=m.generators, differential=diff)
+    found = []
+    vertex_classes = allday._vertex_classes
+
+    def recording(model):
+        found.append(vertex_classes(model))
+        return found[-1]
+
+    monkeypatch.setattr(allday, "_vertex_classes", recording)
+    assert homology_series(model, 3) == homology_series(m, 3)
+    assert found[0] == [[1, 2, 3, 4]]
+    h = homology_series(model, 4)
+    assert found[-1] == [[1, 2, 3]]
+    monkeypatch.setattr(allday, "_vertex_classes", lambda model: [])
+    assert homology_series(model, 4) == h
+
+
+@st.composite
+def generator_lists(draw):
+    """(n, distinct nonempty vertex sets of 1..n, in a drawn order)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    faces = [f for k in range(1, n + 1) for f in itertools.combinations(range(1, n + 1), k)]
+    gens = draw(st.lists(st.sampled_from(faces), min_size=1, max_size=5, unique=True))
+    return n, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), st.integers(min_value=0, max_value=4))
+def test_content_words_match_brute_force(alphabet, max_length):
+    n, gens = alphabet
+    expected = {}
+    for length in range(max_length + 1):
+        # itertools.product lists the words in lexicographic generator order.
+        for word in itertools.product(gens, repeat=length):
+            content = tuple(sum(v in I for I in word) for v in range(1, n + 1))
+            expected.setdefault((content, length), []).append(word)
+    words = allday._ContentWords(gens, n)
+    for content in itertools.product(range(max_length + 1), repeat=n):
+        for length in range(max_length + 1):
+            assert words(content, length) == expected.get((content, length), [])
+
+
+def test_fat_wedge_builds_a_fraction_of_the_words(monkeypatch):
+    # Only the blocks of representative contents, and the shorter words
+    # they end in, are built; every word through D + 1 is only counted.
+    built = []
+
+    class Recorded(allday._ContentWords):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.memo)
+
+    monkeypatch.setattr(allday, "_ContentWords", Recorded)
+    model = build_fat_wedge_model((2, 2, 2, 2))
+    homology_series(model, 12)
+    counted = sum(word_counts([model.degree_of(I) for I in model.generators], 13,
+                              DEFAULT_BUDGET_WORDS))
+    assert 0 < sum(map(len, built[0].values())) < counted / 3
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (1, 2, 1, 2), (2, 2, 2, 2)])

@@ -49,6 +49,12 @@ CASES = [
      ("--dims", "1,1,2", "--max-degree", "10", "--check-bubenik")),
     ("allday_fat_wedge_2222.json", 0, "allday", None,
      ("--dims", "2,2,2,2", "--max-degree", "8", "--json")),
+    ("allday_fat_wedge_2222_d16.json", 0, "allday", None,
+     ("--dims", "2,2,2,2", "--max-degree", "16", "--json")),
+    ("allday_fat_wedge_312_d14.json", 0, "allday", None,
+     ("--dims", "3,1,2", "--max-degree", "14", "--json")),
+    ("allday_product_121_d12.json", 0, "allday", None,
+     ("--dims", "1,2,1", "--model", "product", "--max-degree", "12", "--json")),
 ]
 
 

@@ -4,47 +4,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle.tensor import BudgetError, words_by_degree
+from momentangle.tensor import BudgetError, word_counts
 
 
-def brute_force_words(letters, max_degree):
-    """Per degree, the sorted words of that degree over ``letters``."""
-    degree = dict(letters)
-    rank = {x: i for i, (x, _) in enumerate(letters)}
-    layers = [[] for _ in range(max_degree + 1)]
+def brute_force_counts(degrees, max_degree):
+    """Per degree, the number of words of that degree over letters of ``degrees``."""
+    counts = [0] * (max_degree + 1)
     for length in range(max_degree + 1):
-        for word in itertools.product(degree, repeat=length):
-            d = sum(degree[x] for x in word)
-            if d <= max_degree:
-                layers[d].append(word)
-    return [sorted(layer, key=lambda w: [rank[x] for x in w]) for layer in layers]
+        for word in itertools.product(degrees, repeat=length):
+            if sum(word) <= max_degree:
+                counts[sum(word)] += 1
+    return counts
 
 
 @st.composite
 def alphabets(draw):
-    """(letters as (name, degree) pairs in generator order, degree cap)."""
-    names = draw(st.permutations("abc"))[: draw(st.integers(min_value=1, max_value=3))]
-    letters = [(x, draw(st.integers(min_value=1, max_value=3))) for x in names]
-    return letters, draw(st.integers(min_value=0, max_value=7))
+    """(letter degrees, degree cap)."""
+    degrees = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+    return degrees, draw(st.integers(min_value=0, max_value=7))
 
 
 @settings(max_examples=150, deadline=None)
 @given(alphabets(), st.integers(min_value=0, max_value=400))
-def test_words_by_degree_matches_brute_force(alphabet, budget):
-    letters, cap = alphabet
-    expected = brute_force_words(letters, cap)
-    total = sum(map(len, expected))
-    if total > budget:
-        with pytest.raises(BudgetError):
-            words_by_degree(letters, cap, budget)
+def test_word_counts_match_brute_force(alphabet, budget):
+    degrees, cap = alphabet
+    expected = brute_force_counts(degrees, cap)
+    totals = list(itertools.accumulate(expected))
+    if totals[-1] > budget:
+        with pytest.raises(BudgetError) as info:
+            word_counts(degrees, cap, budget)
+        assert info.value.degree == next(d for d, t in enumerate(totals) if t > budget)
     else:
-        assert words_by_degree(letters, cap, budget) == expected
+        assert word_counts(degrees, cap, budget) == expected
 
 
-def test_words_by_degree_budget_error_names_the_degree():
+def test_word_counts_budget_error_names_the_degree():
     # two letters of degree 1: 1 + 2 + 4 + 8 = 15 words through degree 3
-    letters = [("a", 1), ("b", 1)]
-    assert len(words_by_degree(letters, 3, 15)[3]) == 8
+    assert word_counts([1, 1], 3, 15) == [1, 2, 4, 8]
     with pytest.raises(BudgetError) as info:
-        words_by_degree(letters, 6, 15)
+        word_counts([1, 1], 6, 15)
     assert info.value.degree == 4
+    assert str(info.value) == "degree 4: word budget 15 exhausted"
