@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, lcm
 
 from .complexes import (
@@ -191,15 +190,18 @@ def _porter_counts(n, k, grading, strict, max_dim):
 
 
 def _integer_row(nf, index):
-    """Map a normal form to a sparse integer row over the word index."""
+    """Map a normal form to a sparse integer row over the word index.
+
+    Coefficients are ``int`` or ``Fraction``; both have a ``denominator``.
+    """
     denom = 1
     for c in nf.values():
-        denom = lcm(denom, Fraction(c).denominator)
+        denom = lcm(denom, c.denominator)
     row = {}
     for w, c in nf.items():
         if w not in index:
             index[w] = len(index)
-        row[index[w]] = int(Fraction(c) * denom)
+        row[index[w]] = int(c * denom)
     return row
 
 

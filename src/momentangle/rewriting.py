@@ -15,6 +15,12 @@ never arise, and the forbidden words are the unique minimal set for the word
 order.  Overlap ambiguities are resolved up to a degree bound, which is
 sound for counting purposes because homogeneity confines every consequence
 above the bound to degrees above the bound.
+
+Coefficients stay integers wherever they can.  Every relation of the cp and
+sphere presentations has coefficients ±1, and when a normal form leads with
+c = ±1 its rule's tail is the rest of it times −c.  Only another leading
+coefficient divides, exactly, and a quotient that is not an integer becomes
+a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ class RewritingSystem:
     (the last ``k`` letters of forbidden word ``u`` are the first ``k`` of
     ``v``) whose S-polynomials are built only when their degree comes up.
     Overlaps of a new forbidden word are looked up in indexes of the proper
-    prefixes and proper suffixes of the earlier ones.
+    prefixes and proper suffixes of the earlier ones; the prefix index also
+    bounds the factor search of :meth:`normal_form`.
     """
 
     def __init__(self, generators, relations, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
@@ -68,7 +75,7 @@ class RewritingSystem:
                 for x in word:
                     if x not in self.degree:
                         raise RewritingError(f"relation uses unknown generator {x!r}")
-                el.add_term(word, Fraction(coeff))
+                el.add_term(word, coeff)
             degrees = el.degrees(self.degree.__getitem__)
             if len(degrees) > 1:
                 raise RewritingError(f"relation not homogeneous: degrees {sorted(degrees)}")
@@ -79,10 +86,7 @@ class RewritingSystem:
             # is complete here.
             for item in bucket:
                 if isinstance(item, tuple):
-                    u, v, k = item
-                    item = self.rules[u] * TensorElement.term(v[k:]) - TensorElement.term(
-                        u[:-k]
-                    ) * self.rules[v]
+                    item = self._s_polynomial(*item)
                 self._add_rule(item, pending)
             pending[deg] = None
 
@@ -92,31 +96,59 @@ class RewritingSystem:
     def _key(self, word):
         return (self.word_degree(word), tuple(self.rank[x] for x in word))
 
-    def _find_factor(self, word):
-        """Leftmost position and length of a forbidden factor, or None."""
-        for i in range(len(word)):
-            for length in self._lengths:
-                if i + length > len(word):
+    def _find_factor(self, word, start):
+        """Leftmost position and length of a forbidden factor starting at or
+        after ``start``, or None.
+
+        At each position the lengths grow until the slice is a forbidden
+        word, or is neither one nor a proper prefix of one, after which no
+        longer slice can be forbidden.
+        """
+        rules = self.rules
+        prefixes = self._by_prefix
+        n = len(word)
+        for i in range(start, n):
+            for j in range(i + 1, n + 1):
+                factor = word[i:j]
+                if factor in rules:
+                    return i, j - i
+                if factor not in prefixes:
                     break
-                if word[i : i + length] in self.rules:
-                    return i, length
         return None
 
     def normal_form(self, element):
-        """Fully reduced representative of ``element``'s residue class."""
+        """Fully reduced representative of ``element``'s residue class.
+
+        Each word is rewritten at its leftmost forbidden factor.  If that
+        factor starts at i, the rewritten word agrees with the old one
+        before i, so none of its forbidden factors starts before
+        i − (longest forbidden length) + 1, and its search resumes there.
+        """
+        rules, find = self.rules, self._find_factor
         result = TensorElement()
-        stack = [(w, Fraction(c)) for w, c in element.items()]
+        stack = [(w, c, 0) for w, c in element.items()]
+        push = stack.append
+        back = self._lengths[-1] - 1 if self._lengths else 0
         while stack:
-            word, coeff = stack.pop()
-            hit = self._find_factor(word)
+            word, coeff, start = stack.pop()
+            hit = find(word, start)
             if hit is None:
                 result.add_term(word, coeff)
                 continue
             i, length = hit
-            tail = self.rules[word[i : i + length]]
-            for tw, tc in tail.items():
-                stack.append((word[:i] + tw + word[i + length :], coeff * tc))
+            head, rest = word[:i], word[i + length :]
+            start = max(i - back, 0)
+            for tw, tc in rules[word[i : i + length]].items():
+                push((head + tw + rest, coeff * tc, start))
         return result
+
+    def _s_polynomial(self, u, v, k):
+        """rules[u]·v[k:] − u[:−k]·rules[v] for the overlap u[-k:] = v[:k]."""
+        right, left = v[k:], u[:-k]
+        el = TensorElement({w + right: c for w, c in self.rules[u].items()})
+        for w, c in self.rules[v].items():
+            el.add_term(left + w, -c)
+        return el
 
     def _add_rule(self, element, pending):
         """Reduce ``element``; if it survives, make its leading word a rule
@@ -125,8 +157,13 @@ class RewritingSystem:
         if nf.is_zero():
             return
         lead = max(nf, key=self._key)
-        c = nf[lead]
-        self.rules[lead] = TensorElement({w: -v / c for w, v in nf.items() if w != lead})
+        c = nf.pop(lead)
+        if c == 1 or c == -1:
+            self.rules[lead] = TensorElement({w: -v * c for w, v in nf.items()})
+        else:
+            self.rules[lead] = TensorElement(
+                {w: -v // c if v % c == 0 else Fraction(-v, c) for w, v in nf.items()}
+            )
         if len(lead) not in self._lengths:
             self._lengths = tuple(sorted(self._lengths + (len(lead),)))
         top = self.max_degree

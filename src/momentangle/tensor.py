@@ -2,9 +2,11 @@
 
 A word is a tuple of letters; what a letter is (an index set, a generator
 id) is the caller's business, together with a degree map.  Coefficients are
-exact (int or Fraction).  ``word_counts`` counts the words of a graded
-alphabet degree by degree under a word budget; the Allday homology reads
-its word counts there and builds only the words it ranks.
+exact: int, or Fraction where a caller divides (the rewriting completion
+does so only by a leading coefficient other than ±1).  ``word_counts``
+counts the words of a graded alphabet degree by degree under a word budget;
+the Allday homology reads its word counts there and builds only the words
+it ranks.
 """
 
 from __future__ import annotations

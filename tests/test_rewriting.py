@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from momentangle.presentations import (
     Generator,
     Presentation,
     build_cp_presentation,
+    build_sphere_presentation,
     graded_dimensions,
     rewriting_system,
 )
@@ -173,3 +176,92 @@ def test_skeleton_forbidden_word_count(n, k, bound, count):
     # was made degree-ordered; the set is unique for the word order.
     p = build_cp_presentation(skeleton_complex(n, k))
     assert len(rewriting_system(p, bound).rules) == count
+
+
+def naive_normal_form(rules, element):
+    """Reduce by rescanning each word from position 0 and rewriting its
+    leftmost forbidden factor, with ``Fraction`` coefficients throughout."""
+    todo = {w: Fraction(c) for w, c in element.items()}
+    result = {}
+    while todo:
+        word, coeff = todo.popitem()
+        hit = next(((i, f) for i in range(len(word)) for f in rules
+                    if word[i : i + len(f)] == f), None)
+        if hit is None:
+            result[word] = result.get(word, 0) + coeff
+            continue
+        i, f = hit
+        for tw, tc in rules[f].items():
+            new = word[:i] + tw + word[i + len(f) :]
+            todo[new] = todo.get(new, 0) + coeff * Fraction(tc)
+    return {w: c for w, c in result.items() if c}
+
+
+@st.composite
+def completions_and_elements(draw):
+    """(presentation, completion bound, 1-3 elements of 1-4 words of length
+    ≤ 6 in its letters)."""
+    p, bound = draw(small_presentations())
+    word = st.lists(st.sampled_from([g.name for g in p.generators]), max_size=6).map(tuple)
+    terms = st.dictionaries(word, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=4)
+    return p, bound, draw(st.lists(terms, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(completions_and_elements())
+# The quantum plane ab = 2ba: leading coefficient −2, so the rule ba → ab/2
+# has a Fraction tail.
+@example((presentation({"a": 1, "b": 1}, [{("a", "b"): 1, ("b", "a"): -2}]), 4,
+          [{("b", "b", "a"): 1, ("b", "a", "a"): 2}]))
+# c·c·b·b rewrites bb at position 2 to −c·c·a, whose factor ca starts at
+# 1 = 2 − (longest forbidden length 2) + 1, exactly where the search resumes.
+@example((presentation({"a": 2, "b": 1, "c": 1}, [
+    {("a",): 1, ("b", "b"): 1},
+    {("c", "a"): 1, ("a", "c"): -1},
+]), 4, [{("c", "c", "b", "b"): 1, ("b",): -1}]))
+def test_normal_form_matches_naive_reducer(case):
+    p, bound, elements = case
+    rs = rewriting_system(p, bound)
+    for el in elements:
+        assert rs.normal_form(TensorElement(el)) == naive_normal_form(rs.rules, el), el
+
+
+def test_rule_tails_have_integer_coefficients(K1):
+    for p, bound in ((build_cp_presentation(skeleton_complex(6, 4)), 7),
+                     (build_sphere_presentation(K1, (1, 2, 1, 2)), 9)):
+        rules = rewriting_system(p, bound).rules
+        coeffs = [c for tail in rules.values() for c in tail.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_leading_coefficient_two_gives_fraction_tail():
+    # Its series, d + 1 in degree d, is the "quantum-plane-2" case of
+    # test_graded_dimensions_hand_computed.
+    p = presentation({"a": 1, "b": 1}, [{("a", "b"): 1, ("b", "a"): -2}])
+    tail = rewriting_system(p, 8).rules[("b", "a")]
+    assert tail == {("a", "b"): Fraction(1, 2)}
+    assert type(tail[("a", "b")]) is Fraction
+
+
+def rule_digest(rs):
+    """SHA-256 of the rules as sorted (word, tail) pairs, each tail sorted
+    and each coefficient written as str(Fraction(c))."""
+    h = hashlib.sha256()
+    for word in sorted(rs.rules):
+        tail = sorted((w, str(Fraction(c))) for w, c in rs.rules[word].items())
+        h.update(repr((word, tail)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, bound, count, digest", [
+    ("skel85", 10, 1716, "111c91401a6e673aa269f8f6b7f58dcada33adf0e87777c365ff05a835d63d00"),
+    ("K3", 11, 23, "e17a3cf097cd9c7daaf30355c00342c5e4c06579abc11190985bf50706b669dc"),
+])
+def test_completed_rules_are_pinned(name, bound, count, digest, K3):
+    # Recorded when every coefficient was a Fraction.  The forbidden words
+    # are unique for the word order, so a changed word or tail is a changed
+    # result, not a digest to record again.
+    K = skeleton_complex(8, 5) if name == "skel85" else K3
+    rs = rewriting_system(build_cp_presentation(K), bound)
+    assert len(rs.rules) == count
+    assert rule_digest(rs) == digest
