@@ -16,11 +16,10 @@ order.  Overlap ambiguities are resolved up to a degree bound, which is
 sound for counting purposes because homogeneity confines every consequence
 above the bound to degrees above the bound.
 
-Coefficients stay integers wherever they can.  Every relation of the cp and
-sphere presentations has coefficients ±1, and when a normal form leads with
-c = ±1 its rule's tail is the rest of it times −c.  Only another leading
-coefficient divides, exactly, and a quotient that is not an integer becomes
-a ``Fraction``.
+Coefficients stay integers wherever they can.  A rule's tail is the rest of
+its normal form divided exactly by −(leading coefficient); only a quotient
+that is not an integer becomes a ``Fraction``.  Every relation of the cp and
+sphere presentations has coefficients ±1, so their rules stay integral.
 """
 
 from __future__ import annotations
@@ -96,9 +95,8 @@ class RewritingSystem:
     def _key(self, word):
         return (self.word_degree(word), tuple(self.rank[x] for x in word))
 
-    def _find_factor(self, word, start):
-        """Leftmost position and length of a forbidden factor starting at or
-        after ``start``, or None.
+    def _find_factor(self, word):
+        """Leftmost position and length of a forbidden factor, or None.
 
         At each position the lengths grow until the slice is a forbidden
         word, or is neither one nor a proper prefix of one, after which no
@@ -107,7 +105,7 @@ class RewritingSystem:
         rules = self.rules
         prefixes = self._by_prefix
         n = len(word)
-        for i in range(start, n):
+        for i in range(n):
             for j in range(i + 1, n + 1):
                 factor = word[i:j]
                 if factor in rules:
@@ -117,29 +115,22 @@ class RewritingSystem:
         return None
 
     def normal_form(self, element):
-        """Fully reduced representative of ``element``'s residue class.
-
-        Each word is rewritten at its leftmost forbidden factor.  If that
-        factor starts at i, the rewritten word agrees with the old one
-        before i, so none of its forbidden factors starts before
-        i − (longest forbidden length) + 1, and its search resumes there.
-        """
+        """Fully reduced representative of ``element``'s residue class;
+        each word is rewritten at its leftmost forbidden factor."""
         rules, find = self.rules, self._find_factor
         result = TensorElement()
-        stack = [(w, c, 0) for w, c in element.items()]
+        stack = list(element.items())
         push = stack.append
-        back = self._lengths[-1] - 1 if self._lengths else 0
         while stack:
-            word, coeff, start = stack.pop()
-            hit = find(word, start)
+            word, coeff = stack.pop()
+            hit = find(word)
             if hit is None:
                 result.add_term(word, coeff)
                 continue
             i, length = hit
             head, rest = word[:i], word[i + length :]
-            start = max(i - back, 0)
             for tw, tc in rules[word[i : i + length]].items():
-                push((head + tw + rest, coeff * tc, start))
+                push((head + tw + rest, coeff * tc))
         return result
 
     def _s_polynomial(self, u, v, k):
@@ -158,12 +149,9 @@ class RewritingSystem:
             return
         lead = max(nf, key=self._key)
         c = nf.pop(lead)
-        if c == 1 or c == -1:
-            self.rules[lead] = TensorElement({w: -v * c for w, v in nf.items()})
-        else:
-            self.rules[lead] = TensorElement(
-                {w: -v // c if v % c == 0 else Fraction(-v, c) for w, v in nf.items()}
-            )
+        self.rules[lead] = TensorElement(
+            {w: -v // c if v % c == 0 else Fraction(-v, c) for w, v in nf.items()}
+        )
         if len(lead) not in self._lengths:
             self._lengths = tuple(sorted(self._lengths + (len(lead),)))
         top = self.max_degree
