@@ -11,7 +11,11 @@ signs; those signs are computed and checked against d for each
 transposition, and only one block per orbit of the certified permutations
 is eliminated.  Words are built only for the eliminated blocks and the
 shorter words they end in; the words of each degree are counted, not
-listed.
+listed.  Within a block the maps are ranked in the cohomology direction,
+lowest degree first, on the transpose of d (:meth:`DGAModel.coboundary`),
+and a row that a pivot of the map one degree lower shows to be dependent
+is never built ("clearing", as in persistent homology): the rows that are
+eliminated to zero are exactly the block's homology.
 """
 
 from __future__ import annotations
@@ -77,15 +81,19 @@ class DGAModel:
 
     def __post_init__(self):
         # Per-letter data for d_word, computed once: the degree parity of
-        # each generator and the terms of each nonzero differential.
+        # each generator and the terms of each nonzero differential; for
+        # coboundary, the same terms keyed by the word of d(b_I) they give.
         object.__setattr__(
             self, "_odd", {I: self.degree_of(I) % 2 == 1 for I in self.generators}
         )
-        object.__setattr__(
-            self,
-            "_d_terms",
-            {I: tuple(dg.items()) for I, dg in self.differential.items() if dg},
-        )
+        d_terms = {I: tuple(dg.items()) for I, dg in self.differential.items() if dg}
+        co_terms = {}
+        for I, terms in d_terms.items():
+            for dword, coeff in terms:
+                co_terms.setdefault(dword, []).append((I, coeff))
+        object.__setattr__(self, "_d_terms", d_terms)
+        object.__setattr__(self, "_co_terms", co_terms)
+        object.__setattr__(self, "_co_lengths", sorted({len(w) for w in co_terms}))
 
     def degree_of(self, I):
         return generator_degree(I, self.dims)
@@ -114,6 +122,29 @@ class DGAModel:
                     total.add_term(prefix + dword + suffix, sign * coeff)
             if self._odd[letter]:
                 odd = not odd
+        return total
+
+    def coboundary(self, word):
+        """Transpose of :meth:`d_word`: each w with the coefficient of ``word`` in d(w).
+
+        A term of d(w) replaces one letter b_I of w with a word of d(b_I),
+        so each factor of ``word`` that is such a word gives one w, signed
+        by the degree of the letters in front of it, as in d_word.  No two
+        factors give the same w: d lowers degrees by one and every letter
+        has degree >= 1, so no word of d(b_I) begins with b_I.
+        """
+        total = TensorElement.zero()
+        signs = [1]  # signs[pos]: (-1) to the degree of word[:pos]
+        for letter in word:
+            signs.append(-signs[-1] if self._odd[letter] else signs[-1])
+        for k in self._co_lengths:
+            for pos in range(len(word) - k + 1):
+                terms = self._co_terms.get(word[pos : pos + k])
+                if terms:
+                    prefix = word[:pos]
+                    suffix = word[pos + k :]
+                    for I, coeff in terms:
+                        total[prefix + (I,) + suffix] = signs[pos] * coeff
         return total
 
     def d_element(self, element):
@@ -364,6 +395,19 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     rank counts once per orbit member.  With no certified symmetry every
     block is its own orbit.  Words are built only for the blocks that are
     eliminated and for the shorter words those end in.
+
+    Each block's maps are ranked in increasing degree, that is from the
+    longest words down, on the transposed matrix: the rows of the map
+    from L to L + 1 letters are the coboundaries of the words of L + 1
+    letters, its columns the words of L letters.  A word that was a pivot
+    column of the map before it (from L + 1 to L + 2 letters) is skipped
+    as a row and its coboundary is never built.  d^2 = 0 makes every row
+    of that earlier transpose a dependency among this map's rows, and
+    its rows restricted to its pivot columns have full rank, so over Q
+    each skipped row is a combination of the rows that are kept: the rank
+    is unchanged.  The kept rows number the words of L + 1 letters minus
+    the rank of the map before, so the rows eliminated to zero number
+    exactly the block's homology in that degree.
     """
     top = max_degree + 1
     model = model.below(top)
@@ -379,20 +423,24 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
         if not weight:
             continue
         size = sum(c * (m + 1) for c, m in zip(content, model.dims))
-        for length in range(max(1, size - top), sum(content)):
+        cleared = set()  # pivot columns of the map one degree lower
+        for length in range(sum(content) - 1, max(1, size - top) - 1, -1):
             target = words(content, length + 1)
             source = target and words(content, length)
-            if not source:
-                continue
-            # The kernel pivots on the smallest column; numbering the target
-            # backwards makes that the last word in enumeration order, which
-            # keeps elimination chains short on these lexicographic lists.
-            index = {w: -i for i, w in enumerate(target)}
-            rows = []
-            for w in source:
-                image = model.d_word(w)
-                rows.append({index[iw]: c for iw, c in image.items()})
-            ranks[size - length] += weight * sparse_rank(rows)
+            pivots = set()
+            if source:
+                # The kernel pivots on the smallest column; numbering the
+                # columns backwards makes that the last word in enumeration
+                # order, which keeps elimination chains short on these
+                # lexicographic lists.
+                index = {w: -i for i, w in enumerate(source)}
+                rows = [
+                    {index[w]: c for w, c in model.coboundary(u).items()}
+                    for i, u in enumerate(target)
+                    if -i not in cleared
+                ]
+                ranks[size - length] += weight * sparse_rank(rows, pivots)
+            cleared = pivots
     out = [counts[d] - ranks[d] - ranks[d + 1] for d in range(max_degree + 1)]
     return TruncatedSeries(cutoff=max_degree, coeffs=tuple(out))
 

@@ -13,6 +13,12 @@ of its entries, so there is no coefficient blow-up from rational
 arithmetic.  Every row stored as a pivot is normalized; results are exact.
 The remainder of a row modulo the pivots is taken over the rationals, and
 it turns to ``Fraction`` only through a pivot entry other than ±1.
+
+``sparse_rank`` can also hand back the pivot columns.  The rows restricted
+to them have full rank, so each pivot column is the support of some
+combination of the rows; a chain complex ranked on its transposed maps
+uses this to skip, in the next map, the rows that such a combination
+already shows to be dependent.
 """
 
 from __future__ import annotations
@@ -117,9 +123,15 @@ class IncrementalRank:
         return row
 
 
-def sparse_rank(rows):
-    """Rank of the sparse integer matrix given as dicts {column: value}."""
+def sparse_rank(rows, pivots=None):
+    """Rank of the sparse integer matrix given as dicts {column: value}.
+
+    A set passed as ``pivots`` receives the pivot columns, one per unit of
+    rank: the rows restricted to those columns have full rank.
+    """
     acc = IncrementalRank()
     for row in rows:
         acc.add(row)
+    if pivots is not None:
+        pivots.update(acc.pivots)
     return acc.rank

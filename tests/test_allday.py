@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import allday
+from momentangle import allday, linalg
 from momentangle.allday import (
     DGAModel,
     ModelError,
@@ -179,9 +179,9 @@ def test_relabeling_signs_commute_with_d():
 def test_orbit_shortcut_skips_most_eliminations(monkeypatch):
     calls = []
 
-    def counting_rank(rows):
+    def counting_rank(rows, pivots=None):
         calls.append(len(rows))
-        return sparse_rank(rows)
+        return sparse_rank(rows, pivots)
 
     monkeypatch.setattr(allday, "sparse_rank", counting_rank)
     model = build_fat_wedge_model((2, 2, 2, 2))
@@ -193,14 +193,20 @@ def test_orbit_shortcut_skips_most_eliminations(monkeypatch):
     assert 0 < reduced < len(calls) / 3
 
 
-def test_symmetry_is_read_only_through_the_top_degree(monkeypatch):
+def _fat_wedge_1111_without_d123():
     # d(b_123) = 0 keeps d^2 = 0 (no face of the boundary of the 3-simplex
-    # contains 123) and breaks every symmetry that moves vertex 4.  b_123
-    # has degree 5, so through degree 3 + 1 all four vertices are one class.
+    # contains 123) and breaks every symmetry that moves vertex 4.
     m = build_fat_wedge_model((1, 1, 1, 1))
     diff = dict(m.differential)
     diff[(1, 2, 3)] = TensorElement.zero()
-    model = DGAModel(dims=m.dims, generators=m.generators, differential=diff)
+    return DGAModel(dims=m.dims, generators=m.generators, differential=diff)
+
+
+def test_symmetry_is_read_only_through_the_top_degree(monkeypatch):
+    # b_123 has degree 5, so through degree 3 + 1 all four vertices are one
+    # class once d(b_123) = 0.
+    m = build_fat_wedge_model((1, 1, 1, 1))
+    model = _fat_wedge_1111_without_d123()
     found = []
     vertex_classes = allday._vertex_classes
 
@@ -215,6 +221,63 @@ def test_symmetry_is_read_only_through_the_top_degree(monkeypatch):
     assert found[-1] == [[1, 2, 3]]
     monkeypatch.setattr(allday, "_vertex_classes", lambda model: [])
     assert homology_series(model, 4) == h
+
+
+def _ranked_blocks(model, max_degree):
+    """(model through D + 1, W(c, L), W(c, L + 1)) per block homology_series ranks."""
+    top = max_degree + 1
+    model = model.below(top)
+    classes = allday._vertex_classes(model)
+    words = allday._ContentWords(model.generators, len(model.dims))
+    for content in allday._contents(model.dims, top):
+        if allday._orbit_weight(content, classes):
+            size = sum(c * (m + 1) for c, m in zip(content, model.dims))
+            for length in range(max(1, size - top), sum(content)):
+                yield model, words(content, length), words(content, length + 1)
+
+
+def _assert_coboundary_is_transpose(model, max_degree):
+    for sub, source, target in _ranked_blocks(model, max_degree):
+        down = {(u, w): c for w in source for u, c in sub.d_word(w).items()}
+        up = {(u, w): c for u in target for w, c in sub.coboundary(u).items()}
+        assert up == down, (sub.dims, source[:1], target[:1])
+
+
+def test_coboundary_is_the_transpose_of_d_on_every_complex():
+    seen = 0
+    for n in (2, 3, 4):
+        for K in _all_complexes(n):
+            for dims in itertools.product((1, 2), repeat=n):
+                _assert_coboundary_is_transpose(_build_model(K, dims), 5)
+                seen += 1
+    assert seen == 1904
+
+
+def test_coboundary_is_the_transpose_of_d_on_modified_models(corrupted_model):
+    for model in (_fat_wedge_1111_without_d123(), _fat_wedge_111_without_d12(),
+                  corrupted_model):
+        _assert_coboundary_is_transpose(model, 5)
+
+
+@pytest.mark.parametrize("build, dims, degree", [
+    (build_fat_wedge_model, (2, 2, 2, 2), 12),
+    (build_product_model, (1, 2, 1), 10),
+])
+def test_clearing_leaves_only_homology_to_reduce_to_zero(monkeypatch, build, dims,
+                                                         degree):
+    # Rows cleared by the previous map's pivots are never fed to the kernel;
+    # a fed row that does not raise the rank is a homology class of its
+    # block, and each class is counted at least once in the series.
+    grew = []
+    add = linalg.IncrementalRank.add
+
+    def counting_add(self, row):
+        grew.append(add(self, row))
+        return grew[-1]
+
+    monkeypatch.setattr(linalg.IncrementalRank, "add", counting_add)
+    h = homology_series(build(dims), degree)
+    assert 0 < len(grew) - sum(grew) <= sum(h.coeffs)
 
 
 @st.composite

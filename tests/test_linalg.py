@@ -83,11 +83,26 @@ def test_add_reports_growth_and_keeps_caller_row(rows):
         assert abs(g) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(mixed_entries), matrices(non_unit_entries)))
+def test_sparse_rank_returns_pivot_columns(rows):
+    pivots = set()
+    assert sparse_rank(rows, pivots) == len(pivots) == dense_rank(rows)
+    # A row dependent on the others may be dropped from the next matrix of a
+    # complex only because of this: the rows restricted to the pivot columns
+    # have full rank.
+    restricted = [{c: v for c, v in row.items() if c in pivots} for row in rows]
+    assert dense_rank(restricted) == len(pivots)
+
+
 def test_non_unit_pivot_examples():
     assert sparse_rank([{0: 2, 1: 3}, {0: 4, 1: 5}]) == 2
     assert sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
     assert sparse_rank([{0: 4, 2: 6}, {0: 6, 1: 3}, {1: 3, 2: -9}]) == 2
     assert sparse_rank([{}, {5: 0}, {1: 0, 2: 0}]) == 0
+    pivots = set()
+    assert sparse_rank([{1: 2, 3: 4}, {1: 3, 2: 6, 3: 6}, {2: 4}], pivots) == 2
+    assert pivots == {1, 2}
 
 
 @settings(max_examples=200, deadline=None)
