@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
-from .complexes import SimplicialComplex, skeleton_complex, sphere_grading
+from .complexes import SimplicialComplex, face_degree, skeleton_complex, sphere_grading
 from .linalg import sparse_rank
 from .series import (
     SeriesError,
@@ -41,10 +41,6 @@ class ModelError(ValueError):
     """Invalid model parameters."""
 
 
-def generator_degree(I, dims):
-    return sum(dims[i - 1] + 1 for i in I) - 1
-
-
 def a_element(I, dims):
     """Signed sum of commutators attached to the index set I.
 
@@ -59,11 +55,11 @@ def a_element(I, dims):
     if len(I) < 2:
         raise ModelError(f"index set must have at least two vertices, got {I}")
     zdeg = {i: dims[i - 1] + 1 for i in I}
-    degree_of = lambda J: generator_degree(J, dims)
+    degree_of = lambda J: face_degree(J, dims)
     total = TensorElement.zero()
     for J, Jp in type2_shuffles(I):
         eps = shuffle_sign(I, J, Jp, zdeg)
-        sign = -1 if (generator_degree(J, dims) + eps) % 2 == 0 else 1
+        sign = -1 if (face_degree(J, dims) + eps) % 2 == 0 else 1
         bracket = commutator(
             TensorElement.term((J,)), TensorElement.term((Jp,)), degree_of
         )
@@ -96,7 +92,7 @@ class DGAModel:
         object.__setattr__(self, "_co_lengths", sorted({len(w) for w in co_terms}))
 
     def degree_of(self, I):
-        return generator_degree(I, self.dims)
+        return face_degree(I, self.dims)
 
     def below(self, max_degree):
         """The sub-model on the generators of degree <= ``max_degree``.
@@ -445,12 +441,13 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     return TruncatedSeries(cutoff=max_degree, coeffs=tuple(out))
 
 
-def bubenik_series(dims, convention, max_degree):
+def bubenik_series(dims, exterior, max_degree):
     """Closed-form loop-homology series of the fat wedge for n >= 3 spheres.
 
-    The abelian factor on the coordinate generators times the tensor-algebra
-    series on the bracket set {[[u, b_{j_1}], ..., b_{j_l}]}, where u has
-    degree (sum of (m_i + 1)) - 2 and the j's range over multisets.
+    The abelian factor on the coordinate generators (``exterior`` on the
+    odd ones, or polynomial on all) times the tensor-algebra series on the
+    bracket set {[[u, b_{j_1}], ..., b_{j_l}]}, where u sits one degree
+    below the top face's generator and the j's range over multisets.
     """
     dims = _validate_dims(dims)
     if len(dims) < 3:
@@ -458,11 +455,11 @@ def bubenik_series(dims, convention, max_degree):
             f"closed form requires at least 3 spheres, got {len(dims)}; "
             "for n = 2 the loop homology is the free tensor algebra"
         )
-    N = sum(m + 1 for m in dims) - 2
-    g = TruncatedSeries.monomial(N, max_degree)
+    u = face_degree(range(1, len(dims) + 1), dims) - 1
+    g = TruncatedSeries.monomial(u, max_degree)
     for m in dims:
         g = g * geometric_series(TruncatedSeries.monomial(m, max_degree))
     if g.coeffs[0] != 0:
         raise SeriesError("bracket series has nonzero constant term")
-    abelian = free_gc_series([(m, 1) for m in dims], convention, max_degree)
+    abelian = free_gc_series([(m, 1) for m in dims], exterior, max_degree)
     return abelian * geometric_series(g)

@@ -100,9 +100,9 @@ def _decomposition_lines(dec):
     for s in dec.summands:
         label = s.label.text(dec.target) if s.label is not None else f"<{s.provenance}>"
         lines.append(f"{_spheres_text(s.count, s.dimension)}: {label}")
-    for f in dec.flags:
-        routes = " ".join(f"{name}={count}" for name, count in f.routes)
-        lines.append(f"FLAG dim {f.dimension}: {routes}")
+    for dim, routes in dec.flags:
+        cells = " ".join(f"{name}={count}" for name, count in routes)
+        lines.append(f"FLAG dim {dim}: {cells}")
     return lines
 
 
@@ -209,7 +209,7 @@ def cmd_allday(args):
     lines.append(f"homology series (degrees 0..{D}): {_series_text(h)}")
     doc["homology_series"] = list(h.coeffs)
     if args.check_bubenik:
-        b = bubenik_series(model.dims, args.convention or "exterior-on-odd", D)
+        b = bubenik_series(model.dims, args.convention != "polynomial-all", D)
         agree = h == b
         lines.append(f"Bubenik closed form (degrees 0..{D}): {_series_text(b)}")
         lines.append("homology == Bubenik closed form: " + ("ok" if agree else "MISMATCH"))
@@ -228,7 +228,7 @@ def cmd_porter(args):
 def cmd_check(args):
     K = _read_complex(args.input)
     dec = consistency_report(K, args.target, args.dims, args.max_dim, args.budget_words)
-    flagged = {f.dimension for f in dec.flags}
+    flagged = {dim for dim, _ in dec.flags}
     lines = []
     verdicts = []
     for dim, routes in dec.routes:

@@ -308,6 +308,12 @@ def sphere_grading(dims, n=None):
     return grading
 
 
+def face_degree(face, grading):
+    """Σ (m_i + 1) − 1 over ``face``: the dimension t_σ of the sphere of the
+    higher Whitehead product w_σ, and the degree of a face's model generator."""
+    return sum(grading[i - 1] + 1 for i in face) - 1
+
+
 def j_complement(sigma, n):
     """Sorted complement of the vertex set ``sigma`` in 1..n."""
     s = set(sigma)

@@ -9,11 +9,12 @@ reported as flags, never silently reconciled.
 
 Both targets run one pipeline.  Coordinate target i is the sphere S^{m_i+1},
 and a missing face sigma gives w_sigma in dimension
-t_sigma = (#sigma − 1) + sum of the m_i over sigma; the cp target is the
-grading with every m_i = 1, so t_sigma = 2#sigma − 1.  The targets differ
-only in the bracket flavor, because the loop homology of CP^∞ is exterior
-and that of S^{m+1} polynomial: "strict" brackets [w_sigma, b_j1, …, b_jl]
-take increasing lists from the complement J_sigma, "multiset" brackets
+t_sigma = ``face_degree(sigma, grading)`` = (#sigma − 1) + sum of the m_i
+over sigma; the cp target is the grading with every m_i = 1, so
+t_sigma = 2#sigma − 1.  The targets differ only in the abelian part, which
+``_grading`` records as one bool: the loop homology of CP^∞ is exterior and
+that of S^{m+1} polynomial.  Exterior brackets [w_sigma, b_j1, …, b_jl]
+take increasing lists from the complement J_sigma, polynomial ones
 nondecreasing lists over 1..n.
 """
 
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
 from .complexes import (
     ComplexError,
+    face_degree,
     is_mf_complex,
     j_complement,
     maximal_faces,
@@ -32,7 +34,7 @@ from .complexes import (
     skeleton_complex,
     sphere_grading,
 )
-from .linalg import IncrementalRank
+from .linalg import IncrementalRank, integral
 from .presentations import (
     abelian_series,
     b_element,
@@ -77,21 +79,20 @@ class SphereSummand:
 
 
 @dataclass(frozen=True)
-class Flag:
-    dimension: int
-    routes: tuple  # ((route_name, count), ...)
-
-
-@dataclass(frozen=True)
 class WedgeDecomposition:
     target: str  # "cp" or "spheres"
     dims: tuple | None
     max_dim: int
     truncated: bool
     summands: tuple
-    flags: tuple
     routes: tuple  # ((dimension, ((route_name, count), ...)), ...)
     rejected: tuple  # ((WhiteheadLabel, reason), ...)
+
+    @property
+    def flags(self):
+        """The rows of ``routes`` whose counts differ, in table order."""
+        return tuple((dim, per) for dim, per in self.routes
+                     if len({c for _, c in per}) > 1)
 
     def counts(self):
         out = {}
@@ -128,20 +129,20 @@ class WedgeDecomposition:
         doc["truncated"] = self.truncated
         doc["summands"] = summands
         doc["flags"] = [
-            {"dimension": f.dimension, "routes": dict(f.routes)} for f in self.flags
+            {"dimension": dim, "routes": dict(per)} for dim, per in self.flags
         ]
         return doc
 
 
 def _grading(target, n, dims, max_dim):
-    """Coordinate degrees of ``target`` on n vertices; cp is all ones."""
+    """(grading, exterior abelian part?) of ``target``: cp is all ones, exterior."""
     if target == "cp":
-        return (1,) * n
+        return (1,) * n, True
     if target != "spheres":
         raise ComplexError(f"unknown target {target!r}")
     if max_dim is None:
         raise ComplexError("sphere target requires max_dim")
-    return sphere_grading(dims, n)
+    return sphere_grading(dims, n), False
 
 
 def _require_mf(K):
@@ -160,12 +161,12 @@ def detect_skeleton(K):
     return None
 
 
-def _porter_counts(n, k, grading, strict, max_dim):
+def _porter_counts(n, k, grading, exterior, max_dim):
     """Porter's closed form for skeleton_complex(n, k): {dimension: count}.
 
     The count in dimension (n − k) + d is Σ_j C(j − 1, n − k)·[t^d] e_j,
     summed over j > n − k, where e_j is the elementary symmetric function of
-    x_i = t^{m_i} (exterior coordinates: strict, cp) or t^{m_i}/(1 − t^{m_i})
+    x_i = t^{m_i} (``exterior`` coordinates, cp) or t^{m_i}/(1 − t^{m_i})
     (polynomial ones), built by the recurrence e_j ← e_j + x_i·e_{j−1}.
     Dimensions above ``max_dim`` are dropped.
     """
@@ -177,7 +178,7 @@ def _porter_counts(n, k, grading, strict, max_dim):
     e = [one] + [TruncatedSeries.zero(cutoff)] * n
     for m in grading:
         x = TruncatedSeries.monomial(m, cutoff)
-        if not strict:
+        if not exterior:
             x = geometric_series(x) - one
         for j in range(n, 0, -1):
             e[j] = e[j] + x * e[j - 1]
@@ -187,22 +188,6 @@ def _porter_counts(n, k, grading, strict, max_dim):
         if c:
             counts[base + d] = c
     return counts
-
-
-def _integer_row(nf, index):
-    """Map a normal form to a sparse integer row over the word index.
-
-    Coefficients are ``int`` or ``Fraction``; both have a ``denominator``.
-    """
-    denom = 1
-    for c in nf.values():
-        denom = lcm(denom, c.denominator)
-    row = {}
-    for w, c in nf.items():
-        if w not in index:
-            index[w] = len(index)
-        row[index[w]] = int(c * denom)
-    return row
 
 
 def _bracket_normal_forms(sigma, candidates, p, rs):
@@ -248,7 +233,8 @@ def _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts):
         needed = g[dim - 1] - ab_counts.get(dim, 0)
         chosen = []
         for label, nf in by_dim[dim]:
-            if not acc.add(_integer_row(nf, index)):
+            row = {index.setdefault(w, len(index)): c for w, c in nf.items()}
+            if not acc.add(integral(row)):
                 rejected.append((label, "dependent on previously selected brackets"))
                 continue
             if len(chosen) < needed:
@@ -261,38 +247,34 @@ def _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts):
 
 def _decompose(K, target, dims, max_dim, budget_words):
     """The wedge decomposition of both targets; ``dims`` is None for cp."""
-    grading = _grading(target, K.n, dims, max_dim)
+    grading, exterior = _grading(target, K.n, dims, max_dim)
     _require_mf(K)
-    strict = target == "cp"
     mfs = missing_faces(K)
 
-    def t_sigma(sigma):
-        return len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
-
     truncated = True
-    if strict:
-        natural_max = max(t_sigma(s) + len(j_complement(s, K.n)) for s in mfs)
+    if exterior:
+        natural_max = max(face_degree(s, grading) + len(j_complement(s, K.n)) for s in mfs)
         truncated = max_dim is not None and natural_max > max_dim
         if max_dim is None:
             max_dim = natural_max
 
     def brackets(sigma):
-        return bracket_lists(sigma, K.n, grading, max_dim, strict)
+        return bracket_lists(sigma, K.n, grading, max_dim, exterior)
 
     # Part (a): w_sigma per missing face; part (b): the brackets of each
     # missing face with ≥ 3 vertices.
     summands = []
     for sigma in mfs:
-        if t_sigma(sigma) <= max_dim:
-            summands.append(SphereSummand(t_sigma(sigma), WhiteheadLabel("higher", sigma),
-                                          "enumeration"))
+        dim = face_degree(sigma, grading)
+        if dim <= max_dim:
+            summands.append(SphereSummand(dim, WhiteheadLabel("higher", sigma), "enumeration"))
         if len(sigma) >= 3:
             summands.extend(
                 SphereSummand(dim, WhiteheadLabel("iterated", sigma, js), "enumeration")
                 for js, dim in brackets(sigma)
             )
 
-    p = build_cp_presentation(K) if strict else build_sphere_presentation(K, grading)
+    p = build_cp_presentation(K) if exterior else build_sphere_presentation(K, grading)
     # The kernel series counts spheres of dimension d + 1 in degree d, so it
     # is needed through degree max_dim − 1; at max_dim 0 it runs to degree
     # 0, where it is zero.
@@ -314,31 +296,27 @@ def _decompose(K, target, dims, max_dim, budget_words):
     }
     k = detect_skeleton(K)
     if k is not None:
-        routes["porter"] = _porter_counts(K.n, k, grading, strict, max_dim)
+        routes["porter"] = _porter_counts(K.n, k, grading, exterior, max_dim)
 
     # Unlabeled series-certified summands fill where enumeration fell short.
     for dim, want in routes["series"].items():
         if want > enum_counts[dim]:
             summands.append(SphereSummand(dim, None, "series", want - enum_counts[dim]))
-    table = []
-    flags = []
-    for dim in sorted(set().union(*routes.values())):
-        per = tuple((name, counts.get(dim, 0)) for name, counts in routes.items())
-        table.append((dim, per))
-        if len({c for _, c in per}) > 1:
-            flags.append(Flag(dim, per))
+    table = tuple(
+        (dim, tuple((name, counts.get(dim, 0)) for name, counts in routes.items()))
+        for dim in sorted(set().union(*routes.values()))
+    )
     summands.sort(key=lambda s: (s.dimension, s.label is None,
                                  s.label.kind if s.label else "",
                                  s.label.sigma if s.label else (),
                                  s.label.js if s.label else ()))
     return WedgeDecomposition(
         target=target,
-        dims=None if strict else grading,
+        dims=None if exterior else grading,
         max_dim=max_dim,
         truncated=truncated,
         summands=tuple(summands),
-        flags=tuple(flags),
-        routes=tuple(table),
+        routes=table,
         rejected=tuple(rejected),
     )
 
@@ -385,17 +363,15 @@ def porter_fnk(n, k, target="cp", dims=None, max_dim=None):
     """
     if not (1 <= k <= n - 1):
         raise ComplexError(f"require 1 <= k <= n-1, got n={n}, k={k}")
-    grading = _grading(target, n, dims, max_dim)
-    strict = target == "cp"
+    grading, exterior = _grading(target, n, dims, max_dim)
     top = 2 * n - k if max_dim is None else max_dim
-    tally = _porter_counts(n, k, grading, strict, top)
+    tally = _porter_counts(n, k, grading, exterior, top)
     return WedgeDecomposition(
         target=target,
-        dims=None if strict else grading,
+        dims=None if exterior else grading,
         max_dim=top,
-        truncated=not strict or top < 2 * n - k,
+        truncated=not exterior or top < 2 * n - k,
         summands=tuple(SphereSummand(dim, None, "porter", c) for dim, c in tally.items()),
-        flags=(),
         routes=tuple((dim, (("porter", c),)) for dim, c in tally.items()),
         rejected=(),
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 def _row_gcd(row):
@@ -43,6 +43,17 @@ def _normalize(row):
         for k in row:
             row[k] //= g
     return row
+
+
+def integral(row):
+    """``row`` scaled by the lcm of its denominators, so its entries are ints.
+
+    Entries are ``int`` or ``Fraction``; a row of ints comes back as it is.
+    """
+    if all(type(v) is int for v in row.values()):
+        return row
+    m = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * m) for k, v in row.items()}
 
 
 class IncrementalRank:

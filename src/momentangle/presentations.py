@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
-from .complexes import j_complement, missing_faces, sphere_grading
-from .linalg import IncrementalRank
+from .complexes import face_degree, j_complement, missing_faces, sphere_grading
+from .linalg import IncrementalRank, integral
 from .series import (
     FactorizationError,
     SeriesError,
@@ -46,11 +45,6 @@ def b_element(i):
 
 def u_name(sigma):
     return "u(" + ",".join(str(v) for v in sigma) + ")"
-
-
-def n_sigma(sigma, dims):
-    """Degree of the bracket generator for ``sigma`` in the sphere case."""
-    return sum(dims[i - 1] + 1 for i in sigma) - 2
 
 
 @dataclass(frozen=True)
@@ -119,8 +113,8 @@ def build_cp_presentation(K):
 def build_sphere_presentation(K, dims):
     """Loop-homology presentation with coordinate target i a sphere S^{m_i+1}.
 
-    Generators: b_i of degree m_i and u_sigma of degree N_sigma for each
-    missing face with ≥ 3 vertices.  Relations: graded commutators
+    Generators: b_i of degree m_i and u_sigma, one degree below w_sigma, for
+    each missing face with ≥ 3 vertices.  Relations: graded commutators
     [b_i, b_j] for the edges of K, and nothing else.  Each b_i generates
     H_*(ΩS^{m_i+1}) = Q[b_i], a polynomial algebra whatever the parity of
     m_i, so no b_i² relation is imposed; bracket generators satisfy no
@@ -139,7 +133,8 @@ def _build_presentation(K, grading, exterior):
     """
     gens = [Generator(b_name(i), m, ("coordinate", i)) for i, m in enumerate(grading, 1)]
     higher = [sigma for sigma in missing_faces(K) if len(sigma) >= 3]
-    gens += [Generator(u_name(sigma), n_sigma(sigma, grading), ("higher", sigma))
+    # u_sigma sits one degree below w_sigma, the sphere it loops.
+    gens += [Generator(u_name(sigma), face_degree(sigma, grading) - 1, ("higher", sigma))
              for sigma in higher]
     degree_of = {g.name: g.degree for g in gens}.get
     rels = [b_element(i) * b_element(i) for i in range(1, K.n + 1)] if exterior else []
@@ -162,26 +157,25 @@ def abelian_series(p, max_degree):
     polynomial on every class of the sphere-case.
     """
     gens = [(g.degree, 1) for g in p.generators if g.label[0] == "coordinate"]
-    convention = "exterior-on-odd" if p.target == "cp-case" else "polynomial-all"
-    return free_gc_series(gens, convention, max_degree)
+    return free_gc_series(gens, p.target == "cp-case", max_degree)
 
 
-def bracket_lists(sigma, n, grading, max_dim, strict):
+def bracket_lists(sigma, n, grading, max_dim, exterior):
     """Yield (js, dimension) for each bracket [w_sigma, b_j1, ..., b_jl], l ≥ 1.
 
-    The strict flavor takes strictly increasing lists from the complement
-    J_sigma (loop homology of CP^∞ is exterior); the multiset flavor takes
-    nondecreasing lists over 1..n (that of S^{m+1} is polynomial).  The
-    dimension is t_sigma = (#sigma − 1) + sum of ``grading`` over sigma,
-    plus the grading summed over js; lists above ``max_dim`` are dropped.
+    With an ``exterior`` abelian part (loop homology of CP^∞) the lists are
+    strictly increasing, from the complement J_sigma; with a polynomial one
+    (that of S^{m+1}) they are nondecreasing, over 1..n.  The dimension is
+    t_sigma = ``face_degree(sigma, grading)``, plus the grading summed over
+    js; lists above ``max_dim`` are dropped.
     The walk is depth-first preorder on an explicit stack, so every js comes
     after its parent js[:-1] and lists of one length come in lexicographic
     order.
     """
-    letters = tuple(j_complement(sigma, n)) if strict else tuple(range(1, n + 1))
-    base = len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
-    step = 1 if strict else 0  # strict lists never repeat a letter
-    stack = [((), base, 0)]  # (js, dimension, index of the first letter allowed next)
+    letters = tuple(j_complement(sigma, n)) if exterior else tuple(range(1, n + 1))
+    step = 1 if exterior else 0  # exterior lists never repeat a letter
+    # (js, dimension, index of the first letter allowed next)
+    stack = [((), face_degree(sigma, grading), 0)]
     while stack:
         js, dim, start = stack.pop()
         if js:
@@ -260,17 +254,9 @@ def _graded_dimensions_linear(p, max_degree, budget_words):
                     for t, ct in v.items():
                         k = index[a, t]
                         row[k] = row.get(k, 0) + ct
-                echelon[d].add(_integral(row))
+                echelon[d].add(integral(row))
         basis.append([k for k in range(len(index)) if k not in echelon[d].pivots])
     return TruncatedSeries.from_coeffs([len(b) for b in basis], max_degree)
-
-
-def _integral(row):
-    """``row`` scaled by the lcm of its denominators, so its entries are ints."""
-    if all(type(v) is int for v in row.values()):
-        return row
-    m = lcm(*(v.denominator for v in row.values()))
-    return {k: int(v * m) for k, v in row.items()}
 
 
 def kernel_generator_series(total, abelian_part):

@@ -64,7 +64,6 @@ class RewritingSystem:
         self.max_degree = max_degree
         self.budget_words = budget_words
         self.rules = {}  # forbidden word -> equivalent lower element
-        self._lengths = ()
         self._by_prefix = {}  # proper prefix -> forbidden words starting with it
         self._by_suffix = {}  # proper suffix -> forbidden words ending with it
         pending = [[] for _ in range(max_degree + 1)]  # degree -> work items
@@ -93,7 +92,10 @@ class RewritingSystem:
         return sum(self.degree[x] for x in word)
 
     def _key(self, word):
-        return (self.word_degree(word), tuple(self.rank[x] for x in word))
+        # Only words of one degree are compared, and none of them is a
+        # proper prefix of another, so the rank tuples order them as the
+        # word order does.
+        return tuple(self.rank[x] for x in word)
 
     def _find_factor(self, word):
         """Leftmost position and length of a forbidden factor, or None.
@@ -152,19 +154,19 @@ class RewritingSystem:
         self.rules[lead] = TensorElement(
             {w: -v // c if v % c == 0 else Fraction(-v, c) for w, v in nf.items()}
         )
-        if len(lead) not in self._lengths:
-            self._lengths = tuple(sorted(self._lengths + (len(lead),)))
         top = self.max_degree
+        degree = self.word_degree(lead)
         for k in range(1, len(lead)):
             # lead's prefix of length k is indexed before the lookups and its
             # suffix of length k after them, so each self-overlap is found
-            # once, as lead·v[k:] with v = lead.
+            # once, as lead·v[k:] with v = lead.  An overlap's degree is
+            # lead's plus that of the other word's unshared letters.
             self._by_prefix.setdefault(lead[:k], []).append(lead)
-            overlaps = [(lead, v) for v in self._by_prefix.get(lead[-k:], ())]
-            overlaps += [(u, lead) for u in self._by_suffix.get(lead[:k], ())]
+            overlaps = [(lead, v, v[k:]) for v in self._by_prefix.get(lead[-k:], ())]
+            overlaps += [(u, lead, u[:-k]) for u in self._by_suffix.get(lead[:k], ())]
             self._by_suffix.setdefault(lead[-k:], []).append(lead)
-            for u, v in overlaps:
-                deg = self.word_degree(u) + self.word_degree(v[k:])
+            for u, v, rest in overlaps:
+                deg = degree + self.word_degree(rest)
                 if deg <= top:
                     pending[deg].append((u, v, k))
 
@@ -177,7 +179,10 @@ class RewritingSystem:
         The count runs degree by degree over suffix states: the state of a
         normal word is its longest suffix that is a proper prefix of a
         forbidden word, and appending a letter is forbidden exactly when a
-        suffix of state + letter is a forbidden word.  Transitions are found
+        suffix of state + letter is a forbidden word.  No forbidden word is
+        a proper factor of another, so no suffix of a proper prefix is
+        forbidden: the suffixes are tried longest first, and the first one
+        that is forbidden or a proper prefix decides.  Transitions are found
         on first use.
         """
         cap = self.max_degree if max_degree is None else max_degree
@@ -186,7 +191,6 @@ class RewritingSystem:
                 f"series degree {cap} exceeds completion bound {self.max_degree}"
             )
         rules = self.rules
-        lengths = self._lengths
         # the empty word is a state even without rules
         prefixes = self._by_prefix.keys() | {()}
         letters = sorted(self.degree.items(), key=lambda item: item[1])
@@ -195,11 +199,12 @@ class RewritingSystem:
         def step(state, x):
             """State after appending ``x``, or None if that is forbidden."""
             word = state + (x,)
-            if any(len(word) >= L and word[-L:] in rules for L in lengths):
-                return None
             for i in range(len(word) + 1):
-                if word[i:] in prefixes:
-                    return word[i:]
+                suffix = word[i:]
+                if suffix in rules:
+                    return None
+                if suffix in prefixes:
+                    return suffix
 
         moves = {}  # state -> {letter: next state or None}
         layers = [{} for _ in range(cap + 1)]  # degree -> {state: word count}

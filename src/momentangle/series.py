@@ -144,21 +144,18 @@ def series_div_exact(numerator, denominator):
     return TruncatedSeries(cutoff=cutoff, coeffs=tuple(out))
 
 
-def free_gc_series(generators, convention, cutoff):
+def free_gc_series(generators, exterior, cutoff):
     """Graded dimension series of a free graded-commutative algebra.
 
-    ``generators`` is an iterable of (degree, multiplicity) pairs.  Under
-    ``exterior-on-odd``, odd-degree generators contribute (1+t^d) factors and
-    even-degree ones 1/(1-t^d); under ``polynomial-all`` every generator is
-    polynomial.
+    ``generators`` is an iterable of (degree, multiplicity) pairs.  When
+    ``exterior``, odd-degree generators contribute (1+t^d) factors and
+    even-degree ones 1/(1-t^d); otherwise every generator is polynomial.
     """
-    if convention not in ("exterior-on-odd", "polynomial-all"):
-        raise SeriesError(f"unknown convention {convention!r}")
     result = TruncatedSeries.one(cutoff)
     for degree, mult in generators:
         if degree < 1 or mult < 1:
             raise SeriesError(f"bad generator entry ({degree}, {mult})")
-        if convention == "exterior-on-odd" and degree % 2 == 1:
+        if exterior and degree % 2 == 1:
             factor = TruncatedSeries.one(cutoff) + TruncatedSeries.monomial(
                 degree, cutoff
             )

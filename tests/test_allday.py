@@ -14,12 +14,12 @@ from momentangle.allday import (
     build_product_model,
     bubenik_series,
     check_d_squared,
-    generator_degree,
     homology_series,
 )
 from momentangle.complexes import (
     ComplexError,
     SimplicialComplex,
+    face_degree,
     parse_complex,
     skeleton_complex,
 )
@@ -30,9 +30,9 @@ from momentangle.tensor import DEFAULT_BUDGET_WORDS, TensorElement, word_counts
 
 
 def test_generator_degree():
-    assert generator_degree((1,), (1, 1)) == 1
-    assert generator_degree((1, 2), (1, 1)) == 3
-    assert generator_degree((1, 2, 3), (2, 2, 2)) == 8
+    assert face_degree((1,), (1, 1)) == 1
+    assert face_degree((1, 2), (1, 1)) == 3
+    assert face_degree((1, 2, 3), (2, 2, 2)) == 8
 
 
 def test_a_element_two_vertices():
@@ -62,8 +62,8 @@ def test_a_element_homogeneous_of_degree_minus_one(k, ms):
     dims = tuple(ms)
     I = tuple(range(1, k + 1))
     a = a_element(I, dims)
-    degree_of = lambda J: generator_degree(J, dims)
-    assert a.degrees(degree_of) == {generator_degree(I, dims) - 1}
+    degree_of = lambda J: face_degree(J, dims)
+    assert a.degrees(degree_of) == {face_degree(I, dims) - 1}
 
 
 def test_model_generators():
@@ -363,8 +363,8 @@ def test_homology_free_tensor_n2():
 def _loop_sphere_series(m, cutoff):
     """Loop-space-true series of H(Omega S^{m+1}; Q)."""
     if m % 2 == 0:
-        return free_gc_series([(m, 1)], "polynomial-all", cutoff)
-    return free_gc_series([(m, 1), (2 * m, 1)], "exterior-on-odd", cutoff)
+        return free_gc_series([(m, 1)], False, cutoff)
+    return free_gc_series([(m, 1), (2 * m, 1)], True, cutoff)
 
 
 KUNNETH_CASES = [
@@ -390,23 +390,23 @@ def test_product_model_kunneth(dims, degree):
 
 def test_homology_matches_bubenik_222():
     h = homology_series(build_fat_wedge_model((2, 2, 2)), 12)
-    assert h == bubenik_series((2, 2, 2), "exterior-on-odd", 12)
+    assert h == bubenik_series((2, 2, 2), True, 12)
 
 
 def test_bubenik_requires_three_spheres():
     with pytest.raises(ModelError):
-        bubenik_series((1, 1), "exterior-on-odd", 6)
+        bubenik_series((1, 1), True, 6)
 
 
 def test_bubenik_closed_form_111():
-    b = bubenik_series((1, 1, 1), "exterior-on-odd", 8)
+    b = bubenik_series((1, 1, 1), True, 8)
     g = TruncatedSeries.monomial(4, 8) * geometric_series(
         TruncatedSeries.monomial(1, 8)
     ).pow(3)
-    expected = free_gc_series([(1, 3)], "exterior-on-odd", 8) * geometric_series(g)
+    expected = free_gc_series([(1, 3)], True, 8) * geometric_series(g)
     assert b == expected
-    poly = bubenik_series((1, 1, 1), "polynomial-all", 8)
-    expected_poly = free_gc_series([(1, 3)], "polynomial-all", 8) * geometric_series(g)
+    poly = bubenik_series((1, 1, 1), False, 8)
+    expected_poly = free_gc_series([(1, 3)], False, 8) * geometric_series(g)
     assert poly == expected_poly
     assert b != poly and b.coeffs[:2] == poly.coeffs[:2]
 

@@ -219,7 +219,7 @@ def test_allday_convention_reaches_the_closed_form(capsys):
     default = json.loads(capsys.readouterr().out)["bubenik_series"]
     main([*argv, "--convention", "polynomial-all"])
     poly = json.loads(capsys.readouterr().out)["bubenik_series"]
-    assert poly == list(bubenik_series((1, 1, 1), "polynomial-all", 6).coeffs) != default
+    assert poly == list(bubenik_series((1, 1, 1), False, 6).coeffs) != default
 
 
 def test_check_flagged(fixtures_dir):

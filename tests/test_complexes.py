@@ -218,7 +218,7 @@ def test_sphere_grading_is_the_one_check(K1):
         "sphere_grading": sphere_grading,
         "build_fat_wedge_model": build_fat_wedge_model,
         "build_product_model": build_product_model,
-        "bubenik_series": lambda dims: bubenik_series(dims, "exterior-on-odd", 6),
+        "bubenik_series": lambda dims: bubenik_series(dims, True, 6),
     }
     cases = [(f, (1, 1, 1), "expected 4 sphere parameters, got 3") for f in with_n.values()]
     for entry in (*with_n.values(), *without_n.values()):

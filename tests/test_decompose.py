@@ -20,7 +20,13 @@ from momentangle.decompose import (
     detect_skeleton,
     porter_fnk,
 )
-from momentangle.presentations import b_name, bracket_lists
+from momentangle.presentations import (
+    b_name,
+    bracket_lists,
+    build_cp_presentation,
+    build_sphere_presentation,
+    u_name,
+)
 from momentangle.tensor import TensorElement, commutator
 
 
@@ -118,14 +124,14 @@ def test_skeleton42_flag_pin():
     dec = decompose_cp(skeleton_complex(4, 2))
     assert dec.counts() == {5: 4, 6: 4}
     assert len(dec.flags) == 1
-    flag = dec.flags[0]
-    assert flag.dimension == 6
-    assert dict(flag.routes) == {"enumeration": 4, "series": 4, "porter": 3}
+    dim, routes = dec.flags[0]
+    assert dim == 6
+    assert dict(routes) == {"enumeration": 4, "series": 4, "porter": 3}
 
 
 def test_consistency_report_skeleton42():
     dec = consistency_report(skeleton_complex(4, 2), "cp", max_dim=8)
-    assert [f.dimension for f in dec.flags] == [6]
+    assert [dim for dim, _ in dec.flags] == [6]
     assert {dim for dim, _ in dec.routes} - {6}
 
 
@@ -248,6 +254,17 @@ def _label_dimension(label, target, dims):
     return base + sum(dims[j - 1] for j in label.js)
 
 
+def _loop_class_degree(p, sigma):
+    """Degree in presentation p of the loop class of w_sigma.
+
+    That is the generator u(sigma), or, for a 2-vertex sigma, which gets no
+    generator, the commutator of its two coordinate generators.
+    """
+    if len(sigma) == 2:
+        return sum(p.degree_of(b_name(i)) for i in sigma)
+    return p.degree_of(u_name(sigma))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -258,15 +275,21 @@ def _label_dimension(label, target, dims):
 )
 def test_label_dimension_coherence(make):
     K = make()
-    dec = decompose_cp(K)
-    for s in dec.summands:
-        if s.label is not None:
-            assert s.dimension == _label_dimension(s.label, "cp", None)
     dims = tuple(1 + (i % 2) for i in range(K.n))
-    dec2 = decompose_spheres(K, dims, 8)
-    for s in dec2.summands:
-        if s.label is not None:
-            assert s.dimension == _label_dimension(s.label, "spheres", dims)
+    runs = [("cp", None, decompose_cp(K), build_cp_presentation(K)),
+            ("spheres", dims, decompose_spheres(K, dims, 8),
+             build_sphere_presentation(K, dims))]
+    for target, grading, dec, p in runs:
+        higher = []
+        for s in dec.summands:
+            if s.label is None:
+                continue
+            assert s.dimension == _label_dimension(s.label, target, grading)
+            if s.label.kind == "higher":
+                # The sphere of w_sigma loops to the class of u(sigma).
+                assert s.dimension == _loop_class_degree(p, s.label.sigma) + 1
+                higher.append(s.label.sigma)
+        assert higher, target
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,18 +307,18 @@ def test_bracket_lists_match_itertools(data):
     complement = [j for j in range(1, n + 1) if j not in sigma]
     flavors = ((True, itertools.combinations, complement),
                (False, itertools.combinations_with_replacement, range(1, n + 1)))
-    for strict, choose, letters in flavors:
-        got = list(bracket_lists(sigma, n, grading, max_dim, strict))
+    for exterior, choose, letters in flavors:
+        got = list(bracket_lists(sigma, n, grading, max_dim, exterior))
         # Every grade is >= 1, so no list is longer than max_dim - base.
         lengths = range(1, max_dim - base + 1)
         for length in lengths:
             expected = [(js, dim(js)) for js in choose(letters, length)
                         if dim(js) <= max_dim]
-            assert [x for x in got if len(x[0]) == length] == expected, strict
-        assert all(len(js) in lengths for js, _ in got), strict
+            assert [x for x in got if len(x[0]) == length] == expected, exterior
+        assert all(len(js) in lengths for js, _ in got), exterior
         seen = {()}
         for js, _ in got:
-            assert js[:-1] in seen, (strict, js)
+            assert js[:-1] in seen, (exterior, js)
             seen.add(js)
 
 

@@ -8,6 +8,7 @@ import pytest
 from momentangle.complexes import (
     ComplexError,
     SimplicialComplex,
+    face_degree,
     missing_faces,
     parse_complex,
     skeleton_complex,
@@ -22,7 +23,6 @@ from momentangle.presentations import (
     build_sphere_presentation,
     graded_dimensions,
     kernel_generator_series,
-    n_sigma,
     rewriting_system,
 )
 from momentangle.series import (
@@ -60,12 +60,12 @@ def test_sphere_presentation_structure(K1):
     p = build_sphere_presentation(K1, (1, 1, 1, 1))
     u_gens = [g for g in p.generators if g.label[0] == "higher"]
     assert [(g.name, g.degree) for g in u_gens] == [("u(1,2,3)", 4), ("u(1,2,4)", 4)]
-    assert n_sigma((1, 2, 3), (2, 2, 2, 2)) == 7
+    assert face_degree((1, 2, 3), (2, 2, 2, 2)) - 1 == 7
 
 
 def test_sphere_abelian_part_is_polynomial(K1):
     p = build_sphere_presentation(K1, (1, 2, 1, 2))
-    assert abelian_series(p, 6) == free_gc_series([(1, 2), (2, 2)], "polynomial-all", 6)
+    assert abelian_series(p, 6) == free_gc_series([(1, 2), (2, 2)], False, 6)
 
 
 def test_sphere_presentation_validation(K1):
@@ -80,7 +80,7 @@ def test_graded_dimensions_K1(K1):
     total = graded_dimensions(p, 8)
     assert total[2] == 7 and total[3] == 8
     g = TruncatedSeries.from_coeffs([0, 0, 1, 0, 2, 2], 8)
-    expected = free_gc_series([(1, 4)], "exterior-on-odd", 8) * geometric_series(g)
+    expected = free_gc_series([(1, 4)], True, 8) * geometric_series(g)
     assert total == expected
 
 
@@ -102,7 +102,7 @@ def test_graded_dimensions_one_generator_square():
 def test_graded_dimensions_skeleton31():
     p = build_cp_presentation(skeleton_complex(3, 1))
     total = graded_dimensions(p, 8)
-    expected = free_gc_series([(1, 3)], "exterior-on-odd", 8) * geometric_series(
+    expected = free_gc_series([(1, 3)], True, 8) * geometric_series(
         TruncatedSeries.monomial(4, 8)
     )
     assert total == expected
@@ -163,7 +163,7 @@ def test_kernel_generator_series_K1(K1):
 
 
 def test_kernel_generator_series_trivial():
-    ab = free_gc_series([(1, 3)], "exterior-on-odd", 6)
+    ab = free_gc_series([(1, 3)], True, 6)
     assert kernel_generator_series(ab, ab).is_zero()
 
 
@@ -175,8 +175,8 @@ def test_kernel_generator_series_failure():
     assert err.value.degree >= 1
 
 
-def sphere_counts(K, grading, max_dim, strict):
-    """Sphere dimensions of the bracket set R̃ (``strict``) or R, as a Counter.
+def sphere_counts(K, grading, max_dim, exterior):
+    """Sphere dimensions of the bracket set R̃ (``exterior``) or R, as a Counter.
 
     Lists w_sigma and, through ``bracket_lists``, its brackets for every
     missing face of K; the complexes used here have none with 2 vertices.
@@ -188,8 +188,8 @@ def sphere_counts(K, grading, max_dim, strict):
         t = len(sigma) - 1 + sum(grading[i - 1] for i in sigma)
         if t <= max_dim:
             counts[t] += 1
-        for js, dim in bracket_lists(sigma, K.n, grading, max_dim, strict):
-            if strict:
+        for js, dim in bracket_lists(sigma, K.n, grading, max_dim, exterior):
+            if exterior:
                 assert list(js) == sorted(set(js)) and not set(js) & set(sigma)
             else:
                 assert list(js) == sorted(js)
@@ -205,7 +205,7 @@ def test_enumerate_R_tilde_skeleton_n1():
     # One missing face, the whole vertex set: its complement is empty.
     sigma = (1, 2, 3, 4, 5)
     assert missing_faces(skeleton_complex(5, 1)) == [sigma]
-    assert list(bracket_lists(sigma, 5, (1,) * 5, math.inf, strict=True)) == []
+    assert list(bracket_lists(sigma, 5, (1,) * 5, math.inf, exterior=True)) == []
     assert sphere_counts(skeleton_complex(5, 1), (1,) * 5, math.inf, True) == {9: 1}
 
 
@@ -223,7 +223,7 @@ def test_enumerate_R_matches_generating_function():
     tri = SimplicialComplex.from_faces(3, [(1, 2), (1, 3), (2, 3)])  # missing face (1,2,3)
     # Sphere dimension = loop degree + 1.
     counts = sphere_counts(tri, dims, D + 1, False)
-    series = TruncatedSeries.monomial(n_sigma((1, 2, 3), dims), D)
+    series = TruncatedSeries.monomial(face_degree((1, 2, 3), dims) - 1, D)
     for m in dims:
         series = series * geometric_series(TruncatedSeries.monomial(m, D))
     assert tuple(counts[d + 1] for d in range(D + 1)) == series.coeffs

@@ -95,14 +95,12 @@ def test_series_div_exact_matches_fraction_division(case):
 
 
 def test_free_gc_series_conventions():
-    ext = free_gc_series([(1, 3)], "exterior-on-odd", 4)
+    ext = free_gc_series([(1, 3)], True, 4)
     assert ext.coeffs == (1, 3, 3, 1, 0)
-    poly = free_gc_series([(1, 3)], "polynomial-all", 4)
+    poly = free_gc_series([(1, 3)], False, 4)
     assert poly.coeffs == (1, 3, 6, 10, 15)
-    even = free_gc_series([(2, 1)], "exterior-on-odd", 6)
+    even = free_gc_series([(2, 1)], True, 6)
     assert even.coeffs == (1, 0, 1, 0, 1, 0, 1)
-    with pytest.raises(SeriesError):
-        free_gc_series([(1, 1)], "bogus", 3)
 
 
 @settings(max_examples=50, deadline=None)
