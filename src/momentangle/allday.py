@@ -9,20 +9,21 @@ small independent blocks.  Permuting vertices with equal m_i that K allows
 carries blocks onto blocks of the same rank once the generators are given
 signs; those signs are computed and checked against d for each
 transposition, and only one block per orbit of the certified permutations
-is eliminated.  Words are built only for the eliminated blocks and the
-shorter words they end in; the words of each degree are counted, not
-listed.  Within a block the maps are ranked in the cohomology direction,
-lowest degree first, on the transpose of d (:meth:`DGAModel.coboundary`),
-and a row that a pivot of the map one degree lower shows to be dependent
-is never built ("clearing", as in persistent homology): the rows that are
-eliminated to zero are exactly the block's homology.
+is eliminated.  No word is listed; the words of each degree are counted.
+Within a block the maps are ranked in the cohomology direction, lowest
+degree first, on the transpose of d, each row built from the row of the
+word's tail (:class:`_Blocks`), and a row that a pivot of the map one
+degree lower shows to be dependent is never built ("clearing", as in
+persistent homology): the rows that are eliminated to zero are exactly
+the block's homology.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial
+from math import factorial, inf
 
 from .complexes import SimplicialComplex, face_degree, skeleton_complex, sphere_grading
 from .linalg import sparse_rank
@@ -74,22 +75,16 @@ class DGAModel:
     dims: tuple
     generators: tuple  # index tuples, sorted by (length, lex)
     differential: dict = field(compare=False)
+    K: SimplicialComplex = field(default=None, compare=False)  # the builders' complex
 
     def __post_init__(self):
         # Per-letter data for d_word, computed once: the degree parity of
-        # each generator and the terms of each nonzero differential; for
-        # coboundary, the same terms keyed by the word of d(b_I) they give.
+        # each generator and the terms of each nonzero differential.
         object.__setattr__(
             self, "_odd", {I: self.degree_of(I) % 2 == 1 for I in self.generators}
         )
         d_terms = {I: tuple(dg.items()) for I, dg in self.differential.items() if dg}
-        co_terms = {}
-        for I, terms in d_terms.items():
-            for dword, coeff in terms:
-                co_terms.setdefault(dword, []).append((I, coeff))
         object.__setattr__(self, "_d_terms", d_terms)
-        object.__setattr__(self, "_co_terms", co_terms)
-        object.__setattr__(self, "_co_lengths", sorted({len(w) for w in co_terms}))
 
     def degree_of(self, I):
         return face_degree(I, self.dims)
@@ -102,7 +97,7 @@ class DGAModel:
         closed under d, and it holds every word through ``max_degree``.
         """
         gens = tuple(I for I in self.generators if self.degree_of(I) <= max_degree)
-        return DGAModel(self.dims, gens, {I: self.differential[I] for I in gens})
+        return DGAModel(self.dims, gens, {I: self.differential[I] for I in gens}, self.K)
 
     def d_word(self, word):
         """Derivation extension: d(xy) = d(x)y + (-1)^|x| x d(y)."""
@@ -120,29 +115,6 @@ class DGAModel:
                 odd = not odd
         return total
 
-    def coboundary(self, word):
-        """Transpose of :meth:`d_word`: each w with the coefficient of ``word`` in d(w).
-
-        A term of d(w) replaces one letter b_I of w with a word of d(b_I),
-        so each factor of ``word`` that is such a word gives one w, signed
-        by the degree of the letters in front of it, as in d_word.  No two
-        factors give the same w: d lowers degrees by one and every letter
-        has degree >= 1, so no word of d(b_I) begins with b_I.
-        """
-        total = TensorElement.zero()
-        signs = [1]  # signs[pos]: (-1) to the degree of word[:pos]
-        for letter in word:
-            signs.append(-signs[-1] if self._odd[letter] else signs[-1])
-        for k in self._co_lengths:
-            for pos in range(len(word) - k + 1):
-                terms = self._co_terms.get(word[pos : pos + k])
-                if terms:
-                    prefix = word[:pos]
-                    suffix = word[pos + k :]
-                    for I, coeff in terms:
-                        total[prefix + (I,) + suffix] = signs[pos] * coeff
-        return total
-
     def d_element(self, element):
         total = TensorElement.zero()
         for word, coeff in element.items():
@@ -151,11 +123,8 @@ class DGAModel:
         return total
 
     def generator_degree_counts(self):
-        counts = {}
-        for I in self.generators:
-            d = self.degree_of(I)
-            counts[d] = counts.get(d, 0) + 1
-        return dict(sorted(counts.items()))
+        """Faces of K per generator degree, those above a build bound too."""
+        return dict(sorted(Counter(map(self.degree_of, self.K.sorted_faces())).items()))
 
 
 def _validate_dims(dims):
@@ -165,29 +134,26 @@ def _validate_dims(dims):
     return dims
 
 
-def _build_model(K, dims):
-    """Model of the polyhedral product (S^{m+1})^K: one generator per face
-    of K, in (length, lex) order; d is a_element on faces of size >= 2."""
+def _build_model(K, dims, max_degree=inf):
+    """Model of the polyhedral product (S^{m+1})^K: one generator per face of
+    K of degree <= ``max_degree``, in (length, lex) order; d is a_element, 0 on vertices."""
     dims = sphere_grading(dims, K.n)
-    gens = tuple(K.sorted_faces())
-    diff = {
-        I: (a_element(I, dims) if len(I) >= 2 else TensorElement.zero())
-        for I in gens
-    }
-    return DGAModel(dims=dims, generators=gens, differential=diff)
+    gens = tuple(I for I in K.sorted_faces() if face_degree(I, dims) <= max_degree)
+    diff = {I: a_element(I, dims) if len(I) >= 2 else TensorElement.zero() for I in gens}
+    return DGAModel(dims=dims, generators=gens, differential=diff, K=K)
 
 
-def build_fat_wedge_model(dims):
+def build_fat_wedge_model(dims, max_degree=inf):
     """Model of the fat wedge: K is the boundary of the simplex."""
     dims = _validate_dims(dims)
-    return _build_model(skeleton_complex(len(dims), 1), dims)
+    return _build_model(skeleton_complex(len(dims), 1), dims, max_degree)
 
 
-def build_product_model(dims):
+def build_product_model(dims, max_degree=inf):
     """Model of the product: K is the simplex, whose top face attaches the top cell."""
     dims = _validate_dims(dims)
     n = len(dims)
-    return _build_model(SimplicialComplex.from_faces(n, [range(1, n + 1)]), dims)
+    return _build_model(SimplicialComplex.from_faces(n, [range(1, n + 1)]), dims, max_degree)
 
 
 def check_d_squared(model, max_degree):
@@ -310,37 +276,37 @@ def _contents(dims, max_degree):
     return [c for c, _ in partial]
 
 
-class _ContentWords:
-    """The words of one content and one length, built on demand.
+class _Blocks:
+    """The word blocks W(c, L) of a model, and the rows of d's transpose on them.
 
-    ``self(content, length)`` lists the words over ``generators`` with
-    ``length`` letters whose letters together hold vertex v
-    ``content[v - 1]`` times, in lexicographic generator order: each
-    generator I inside the content, in the given order, followed by every
-    word of content minus I with one letter fewer.  Each list is built
-    once and kept in ``memo`` for the longer words that end in it.  The
-    recursion runs on an explicit stack, so no call depth grows with the
-    word length.
+    W(c, L) lists the words of L letters that hold vertex v ``c[v - 1]``
+    times in lexicographic generator order: each generator I inside c, in
+    order, followed by every word of W(c - I, L - 1).  ``self(c, L)`` is
+    (size, segments), ``segments`` mapping each such I with words to
+    (c - I, start, stop), where they sit; no word is listed.  Row u of
+    ``rows(c, L)`` holds the coefficient of u in d(w) for every w in
+    W(c, L - 1), keyed by -(position of w).  Every term of d(b_K) must be a
+    two-letter word (ModelError names b_K if not): then for u = I·J·v a
+    term of d(w) splits the first letter, w = K·v with I·J a word of
+    d(b_K), or lies in the tail: the row of J·v in W(c - I, L - 1), times
+    (-1)^|I|, shifted to the words of W(c, L - 1) that begin with I.
     """
 
-    def __init__(self, generators, n):
-        self.letters = [(I, [v - 1 for v in I]) for I in generators]
-        self.memo = {((0,) * n, 0): [()]}
-
-    def _firsts(self, content):
-        """(I, content minus I) for each generator I inside ``content``."""
-        out = []
-        for I, vs in self.letters:
-            if all(content[v] for v in vs):
-                rest = list(content)
-                for v in vs:
-                    rest[v] -= 1
-                out.append((I, tuple(rest)))
-        return out
+    def __init__(self, model):
+        self.letters = [(I, [v - 1 for v in I]) for I in model.generators]
+        self.memo = {((0,) * len(model.dims), 0): (1, {})}
+        self.odd = model._odd
+        self.co_terms = {}  # I·J: [(K, coefficient of I·J in d(b_K))]
+        for K, terms in model._d_terms.items():
+            for word, coeff in terms:
+                if len(word) != 2:
+                    raise ModelError(f"d(b_{K}) has the term {word}, not a two-letter word")
+                self.co_terms.setdefault(word, []).append((K, coeff))
+        self.tails = {}  # (c, L): rows(c, L), while a block still to come reads it
 
     def __call__(self, content, length):
         memo = self.memo
-        stack = [(content, length)]
+        stack = [] if (content, length) in memo else [(content, length)]
         while stack:
             key = stack[-1]
             if key in memo:
@@ -349,16 +315,66 @@ class _ContentWords:
             c, L = key
             # A letter holds at least one vertex, and each vertex at most once.
             if not max(c) <= L <= sum(c):
-                memo[key] = []
+                memo[key] = (0, {})
                 continue
-            firsts = self._firsts(c)
+            firsts = [(I, tuple(k - (v in vs) for v, k in enumerate(c)))
+                      for I, vs in self.letters if all(c[v] for v in vs)]
             missing = [(rest, L - 1) for _, rest in firsts if (rest, L - 1) not in memo]
             if missing:
                 stack.extend(missing)
                 continue
             stack.pop()
-            memo[key] = [(I,) + w for I, rest in firsts for w in memo[rest, L - 1]]
+            size, segments = 0, {}
+            for I, rest in firsts:
+                if memo[rest, L - 1][0]:
+                    segments[I] = (rest, size, size + memo[rest, L - 1][0])
+                    size = segments[I][2]
+            memo[key] = (size, segments)
         return memo[content, length]
+
+    def plan(self, ranked):
+        """Turn i ranks the blocks ``ranked[i]``.  A tail is a block whose rows
+        the rows of a ranked block, or of another tail, are built from.
+        ``build[i]`` lists, shortest first, the tails that turn i is the first
+        to read or to rank; ``drop[i]`` those that it is the last to read."""
+        turns = {}  # tail: [first turn, last turn]
+        for i, blocks in enumerate(ranked):
+            todo = blocks[::-1]  # shortest first: the table revisits fewer blocks
+            while todo:
+                c, L = todo.pop()
+                if self(c, L - 1)[0]:
+                    for key in [(rest, L - 1) for rest, _, _ in self(c, L)[1].values()
+                                if self(rest, L - 2)[0]]:  # else its rows are empty
+                        if turns.setdefault(key, [i, None])[1] != i:
+                            turns[key][1] = i
+                            todo.append(key)
+        for i, blocks in enumerate(ranked):
+            for key in set(blocks) & turns.keys():
+                turns[key][0] = i  # a ranked tail: later turns read it
+        self.build, self.drop = [[] for _ in ranked], [[] for _ in ranked]
+        for key in sorted(turns, key=lambda key: key[1]):
+            self.build[turns[key][0]].append(key)
+            self.drop[turns[key][1]].append(key)
+
+    def rows(self, content, length, cleared=()):
+        """The rows, in a list, of W(content, length) whose -position is not in ``cleared``."""
+        if (content, length) in self.tails:
+            return [row for p, row in enumerate(self.tails[content, length]) if -p not in cleared]
+        cols, out = self(content, length - 1)[1], []
+        for I, (rest, start, stop) in self(content, length)[1].items():
+            # No word I·w in W(c, L - 1) means no word in the tail's columns.
+            tail = self.tails[rest, length - 1] if I in cols else [{}] * (stop - start)
+            shift = cols[I][1] if I in cols else 0
+            sign = -1 if self.odd[I] else 1
+            for J, (_, s, t) in self(rest, length - 1)[1].items():
+                splits = [(cols[K][1] - s, coeff) for K, coeff in self.co_terms.get((I, J), ())]
+                for q in range(s, t):
+                    if -(start + q) not in cleared:
+                        row = {col - shift: sign * v for col, v in tail[q].items()}
+                        for base, coeff in splits:
+                            row[-(base + q)] = coeff
+                        out.append(row)
+        return out
 
 
 def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
@@ -389,15 +405,15 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     by a signed permutation of rows and columns, so both have one rank.
     Only the representative content of each orbit is eliminated, and its
     rank counts once per orbit member.  With no certified symmetry every
-    block is its own orbit.  Words are built only for the blocks that are
-    eliminated and for the shorter words those end in.
+    block is its own orbit.  Rows are built only for those blocks and the
+    shorter blocks their rows are built from (:class:`_Blocks`).
 
     Each block's maps are ranked in increasing degree, that is from the
     longest words down, on the transposed matrix: the rows of the map
     from L to L + 1 letters are the coboundaries of the words of L + 1
     letters, its columns the words of L letters.  A word that was a pivot
-    column of the map before it (from L + 1 to L + 2 letters) is skipped
-    as a row and its coboundary is never built.  d^2 = 0 makes every row
+    column of the map before it (from L + 1 to L + 2 letters) is skipped:
+    its row is never built.  d^2 = 0 makes every row
     of that earlier transpose a dependency among this map's rows, and
     its rows restricted to its pivot columns have full rank, so over Q
     each skipped row is a combination of the rows that are kept: the rank
@@ -407,36 +423,35 @@ def homology_series(model, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     """
     top = max_degree + 1
     model = model.below(top)
+    blocks = _Blocks(model)
     ok, witness = check_d_squared(model, top)
     if not ok:
         raise ModelError(f"differential does not square to zero, witness {witness}")
     counts = word_counts([model.degree_of(I) for I in model.generators], top, budget_words)
     classes = _vertex_classes(model)
-    words = _ContentWords(model.generators, len(model.dims))
-    ranks = [0] * (top + 1)  # ranks[d]: rank of d on degree d
+    ranked = []  # (content, orbit weight, sum of c_i (m_i + 1), lengths L + 1)
     for content in _contents(model.dims, top):
-        weight = _orbit_weight(content, classes)
-        if not weight:
-            continue
-        size = sum(c * (m + 1) for c, m in zip(content, model.dims))
+        if weight := _orbit_weight(content, classes):
+            size = sum(c * (m + 1) for c, m in zip(content, model.dims))
+            ranked.append((content, weight, size, range(sum(content), max(1, size - top), -1)))
+    blocks.plan([[(content, L) for L in lengths] for content, _, _, lengths in ranked])
+    ranks = [0] * (top + 1)  # ranks[d]: rank of d on degree d
+    for i, (content, weight, size, lengths) in enumerate(ranked):
+        for key in blocks.build[i]:
+            blocks.tails[key] = blocks.rows(*key)
         cleared = set()  # pivot columns of the map one degree lower
-        for length in range(sum(content) - 1, max(1, size - top) - 1, -1):
-            target = words(content, length + 1)
-            source = target and words(content, length)
+        for length in lengths:
             pivots = set()
-            if source:
+            if blocks(content, length)[0] and blocks(content, length - 1)[0]:
                 # The kernel pivots on the smallest column; numbering the
                 # columns backwards makes that the last word in enumeration
                 # order, which keeps elimination chains short on these
                 # lexicographic lists.
-                index = {w: -i for i, w in enumerate(source)}
-                rows = [
-                    {index[w]: c for w, c in model.coboundary(u).items()}
-                    for i, u in enumerate(target)
-                    if -i not in cleared
-                ]
-                ranks[size - length] += weight * sparse_rank(rows, pivots)
+                rows = blocks.rows(content, length, cleared)
+                ranks[size - length + 1] += weight * sparse_rank(rows, pivots)
             cleared = pivots
+        for key in blocks.drop[i]:
+            del blocks.tails[key]
     out = [counts[d] - ranks[d] - ranks[d + 1] for d in range(max_degree + 1)]
     return TruncatedSeries(cutoff=max_degree, coeffs=tuple(out))
 

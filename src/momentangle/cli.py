@@ -189,10 +189,10 @@ def cmd_loop_homology(args):
 
 def cmd_allday(args):
     build = build_product_model if args.model == "product" else build_fat_wedge_model
-    model = build(args.dims)
     D = args.max_degree
-    # homology_series certifies d^2 = 0 through degree D + 1 before it
-    # counts, and raises ModelError with the witness word if it fails.
+    # homology_series reads only the generators of degree <= D + 1; it
+    # certifies d^2 = 0 there, and raises ModelError with a witness if not.
+    model = build(args.dims, D + 1)
     h = homology_series(model, D, args.budget_words)
     degree_counts = model.generator_degree_counts()
     lines = [

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -224,23 +225,47 @@ def test_symmetry_is_read_only_through_the_top_degree(monkeypatch):
 
 
 def _ranked_blocks(model, max_degree):
-    """(model through D + 1, W(c, L), W(c, L + 1)) per block homology_series ranks."""
+    """(the block table, per turn the blocks (c, L + 1) homology_series ranks)."""
     top = max_degree + 1
     model = model.below(top)
     classes = allday._vertex_classes(model)
-    words = allday._ContentWords(model.generators, len(model.dims))
+    blocks = allday._Blocks(model)
+    ranked = []
     for content in allday._contents(model.dims, top):
         if allday._orbit_weight(content, classes):
             size = sum(c * (m + 1) for c, m in zip(content, model.dims))
-            for length in range(max(1, size - top), sum(content)):
-                yield model, words(content, length), words(content, length + 1)
+            ranked.append([(content, L + 1) for L in range(max(1, size - top), sum(content))])
+    blocks.plan(ranked)
+    return blocks, ranked
+
+
+def _listed(blocks, content, length):
+    """The words of W(content, length), read off the first-letter segments."""
+    if not length:
+        return [()]
+    return [(I,) + w for I, (rest, _, _) in blocks(content, length)[1].items()
+            for w in _listed(blocks, rest, length - 1)]
 
 
 def _assert_coboundary_is_transpose(model, max_degree):
-    for sub, source, target in _ranked_blocks(model, max_degree):
-        down = {(u, w): c for w in source for u, c in sub.d_word(w).items()}
-        up = {(u, w): c for u in target for w, c in sub.coboundary(u).items()}
-        assert up == down, (sub.dims, source[:1], target[:1])
+    # Every row of every ranked block, with the tail rows kept turn by turn
+    # as homology_series keeps them, against the matrix of d_word on the
+    # words one letter shorter, sign for sign.
+    blocks, ranked = _ranked_blocks(model, max_degree)
+    sub = model.below(max_degree + 1)
+    for i, turn in enumerate(ranked):
+        for key in blocks.build[i]:
+            blocks.tails[key] = blocks.rows(*key)
+        for content, length in turn:
+            target = _listed(blocks, content, length)
+            source = _listed(blocks, content, length - 1)
+            down = {(u, w): c for w in source for u, c in sub.d_word(w).items()}
+            rows = blocks.rows(content, length) if target and source else []
+            assert len(rows) == (len(target) if source else 0)
+            up = {(u, source[-col]): c for u, row in zip(target, rows) for col, c in row.items()}
+            assert up == down, (sub.dims, content, length)
+        for key in blocks.drop[i]:
+            del blocks.tails[key]
 
 
 def test_coboundary_is_the_transpose_of_d_on_every_complex():
@@ -257,6 +282,40 @@ def test_coboundary_is_the_transpose_of_d_on_modified_models(corrupted_model):
     for model in (_fat_wedge_1111_without_d123(), _fat_wedge_111_without_d12(),
                   corrupted_model):
         _assert_coboundary_is_transpose(model, 5)
+
+
+def test_homology_series_needs_a_quadratic_differential():
+    # Rows are built from the rows of shorter words only because every term
+    # of d(b_I) is a two-letter word.
+    m = build_product_model((1, 1, 1))
+    diff = dict(m.differential)
+    diff[(1, 2)] = diff[(1, 2)] + TensorElement.term(((1,), (2,), (1,)))
+    model = DGAModel(dims=m.dims, generators=m.generators, differential=diff)
+    with pytest.raises(ModelError, match=r"d\(b_\(1, 2\)\) has the term .* not a two-letter"):
+        homology_series(model, 4)
+
+
+@pytest.mark.parametrize("build, dims, degree, matrices, digest", [
+    (build_fat_wedge_model, (2, 2, 2, 2), 12, 30,
+     "98a0c68ff94e0427cfeb607f3ce04e2c753cb816706e216be797b3e69533b330"),
+    (build_product_model, (1, 2, 1), 10, 124,
+     "ba11b4610d1a362a95546f8a78df3714d2626484d153fcf5a6dae8af2d8f907e"),
+])
+def test_rank_inputs_are_pinned(monkeypatch, build, dims, degree, matrices, digest):
+    # Recorded when each row was the coboundary of a listed word, looked up
+    # in a dict of the listed words one letter shorter.  The rows, in order,
+    # with their columns and values, are the kernel's whole input: a changed
+    # digest is a changed computation, not a digest to record again.
+    seen = []
+
+    def recording(rows, pivots=None):
+        seen.append(repr([sorted(row.items()) for row in rows]))
+        return sparse_rank(rows, pivots)
+
+    monkeypatch.setattr(allday, "sparse_rank", recording)
+    homology_series(build(dims), degree)
+    assert len(seen) == matrices
+    assert hashlib.sha256("".join(sorted(seen)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("build, dims, degree", [
@@ -299,28 +358,57 @@ def test_content_words_match_brute_force(alphabet, max_length):
         for word in itertools.product(gens, repeat=length):
             content = tuple(sum(v in I for I in word) for v in range(1, n + 1))
             expected.setdefault((content, length), []).append(word)
-    words = allday._ContentWords(gens, n)
+    blocks = allday._Blocks(DGAModel((1,) * n, tuple(gens), {}))
     for content in itertools.product(range(max_length + 1), repeat=n):
         for length in range(max_length + 1):
-            assert words(content, length) == expected.get((content, length), [])
+            words = expected.get((content, length), [])
+            size, segments = blocks(content, length)
+            assert size == len(words)
+            # Each first letter's words sit together, in generator order.
+            firsts = [w[0] for w in words if w]
+            spans = [(I, firsts.index(I), len(firsts) - firsts[::-1].index(I))
+                     for I in gens if I in firsts]
+            assert [(I, s, t) for I, (_, s, t) in segments.items()] == spans
+            for I, (rest, s, t) in segments.items():
+                assert firsts[s:t] == [I] * (t - s)
+                assert rest == tuple(c - (v in I) for v, c in enumerate(content, 1))
 
 
 def test_fat_wedge_builds_a_fraction_of_the_words(monkeypatch):
-    # Only the blocks of representative contents, and the shorter words
-    # they end in, are built; every word through D + 1 is only counted.
+    # Rows are built only for the blocks of representative contents and
+    # the shorter blocks they are built from; every word through D + 1 is
+    # only counted.
     built = []
+    rows = allday._Blocks.rows
 
-    class Recorded(allday._ContentWords):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self.memo)
+    def counting(self, content, length, cleared=()):
+        out = rows(self, content, length, cleared)
+        if (content, length) not in self.tails:  # else served from kept rows
+            built.append(len(out))
+        return out
 
-    monkeypatch.setattr(allday, "_ContentWords", Recorded)
+    monkeypatch.setattr(allday._Blocks, "rows", counting)
     model = build_fat_wedge_model((2, 2, 2, 2))
     homology_series(model, 12)
     counted = sum(word_counts([model.degree_of(I) for I in model.generators], 13,
                               DEFAULT_BUDGET_WORDS))
-    assert 0 < sum(map(len, built[0].values())) < counted / 3
+    assert 0 < sum(built) < counted / 3
+
+
+def test_bounded_build_computes_d_only_below_the_bound(monkeypatch):
+    # The CLI builds through D + 1, the only generators the homology reads;
+    # the degree counts still list every face of K.
+    for build in (build_fat_wedge_model, build_product_model):
+        full = build((1, 2, 1, 2))
+        bounded = build((1, 2, 1, 2), 8)
+        assert bounded == full.below(8)
+        assert all(bounded.differential[I] == full.differential[I] for I in bounded.generators)
+        assert bounded.generator_degree_counts() == full.generator_degree_counts()
+    calls = []
+    monkeypatch.setattr(allday, "a_element", lambda I, dims: calls.append(I) or a_element(I, dims))
+    model = build_product_model((1,) * 12, 3)
+    assert len(calls) == 66 and len(model.generators) == 78
+    assert sum(model.generator_degree_counts().values()) == 4095
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (1, 2, 1, 2), (2, 2, 2, 2)])

@@ -176,7 +176,8 @@ def test_allday_failed_certificate_is_precondition_error(monkeypatch, capsys,
                                                          corrupted_model):
     # The CLI prints "d^2=0: ok" only after homology_series has certified
     # it; a model that fails the certificate exits 3 with the witness.
-    monkeypatch.setattr(cli, "build_fat_wedge_model", lambda dims: corrupted_model)
+    monkeypatch.setattr(cli, "build_fat_wedge_model",
+                        lambda dims, max_degree: corrupted_model)
     code = main(["allday", "--dims", "1,1,1", "--max-degree", "6"])
     captured = capsys.readouterr()
     assert code == 3
