@@ -57,7 +57,7 @@ def a_element(I, dims):
         raise ModelError(f"index set must have at least two vertices, got {I}")
     zdeg = {i: dims[i - 1] + 1 for i in I}
     degree_of = lambda J: face_degree(J, dims)
-    total = TensorElement.zero()
+    total = TensorElement()
     for J, Jp in type2_shuffles(I):
         eps = shuffle_sign(I, J, Jp, zdeg)
         sign = -1 if (face_degree(J, dims) + eps) % 2 == 0 else 1
@@ -78,13 +78,10 @@ class DGAModel:
     K: SimplicialComplex = field(default=None, compare=False)  # the builders' complex
 
     def __post_init__(self):
-        # Per-letter data for d_word, computed once: the degree parity of
-        # each generator and the terms of each nonzero differential.
+        # The degree parity of each generator, computed once.
         object.__setattr__(
             self, "_odd", {I: self.degree_of(I) % 2 == 1 for I in self.generators}
         )
-        d_terms = {I: tuple(dg.items()) for I, dg in self.differential.items() if dg}
-        object.__setattr__(self, "_d_terms", d_terms)
 
     def degree_of(self, I):
         return face_degree(I, self.dims)
@@ -101,22 +98,22 @@ class DGAModel:
 
     def d_word(self, word):
         """Derivation extension: d(xy) = d(x)y + (-1)^|x| x d(y)."""
-        total = TensorElement.zero()
+        total = TensorElement()
         odd = False
         for pos, letter in enumerate(word):
-            terms = self._d_terms.get(letter)
+            terms = self.differential.get(letter)
             if terms:
                 sign = -1 if odd else 1
                 prefix = word[:pos]
                 suffix = word[pos + 1 :]
-                for dword, coeff in terms:
+                for dword, coeff in terms.items():
                     total.add_term(prefix + dword + suffix, sign * coeff)
             if self._odd[letter]:
                 odd = not odd
         return total
 
     def d_element(self, element):
-        total = TensorElement.zero()
+        total = TensorElement()
         for word, coeff in element.items():
             for w2, c2 in self.d_word(word).items():
                 total.add_term(w2, coeff * c2)
@@ -139,7 +136,7 @@ def _build_model(K, dims, max_degree=inf):
     K of degree <= ``max_degree``, in (length, lex) order; d is a_element, 0 on vertices."""
     dims = sphere_grading(dims, K.n)
     gens = tuple(I for I in K.sorted_faces() if face_degree(I, dims) <= max_degree)
-    diff = {I: a_element(I, dims) if len(I) >= 2 else TensorElement.zero() for I in gens}
+    diff = {I: a_element(I, dims) if len(I) >= 2 else TensorElement() for I in gens}
     return DGAModel(dims=dims, generators=gens, differential=diff, K=K)
 
 
@@ -200,7 +197,7 @@ def _relabeling_signs(model, p):
         pI = relabel(I)
         if pI not in generators or model.degree_of(pI) != model.degree_of(I):
             return None
-        image = TensorElement.zero()
+        image = TensorElement()
         for word, coeff in model.differential[I].items():
             if any(x not in eps for x in word):
                 return None
@@ -297,8 +294,8 @@ class _Blocks:
         self.memo = {((0,) * len(model.dims), 0): (1, {})}
         self.odd = model._odd
         self.co_terms = {}  # I·J: [(K, coefficient of I·J in d(b_K))]
-        for K, terms in model._d_terms.items():
-            for word, coeff in terms:
+        for K, terms in model.differential.items():
+            for word, coeff in terms.items():
                 if len(word) != 2:
                     raise ModelError(f"d(b_{K}) has the term {word}, not a two-letter word")
                 self.co_terms.setdefault(word, []).append((K, coeff))
@@ -476,5 +473,5 @@ def bubenik_series(dims, exterior, max_degree):
         g = g * geometric_series(TruncatedSeries.monomial(m, max_degree))
     if g.coeffs[0] != 0:
         raise SeriesError("bracket series has nonzero constant term")
-    abelian = free_gc_series([(m, 1) for m in dims], exterior, max_degree)
+    abelian = free_gc_series(dims, exterior, max_degree)
     return abelian * geometric_series(g)

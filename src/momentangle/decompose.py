@@ -280,7 +280,7 @@ def _decompose(K, target, dims, max_dim, budget_words):
     # 0, where it is zero.
     top = max(max_dim - 1, 0)
     rs = rewriting_system(p, top, budget_words)
-    total = TruncatedSeries.from_coeffs(rs.series(top), top)
+    total = TruncatedSeries.from_coeffs(rs.series(), top)
     g = kernel_generator_series(total, abelian_series(p, top))
 
     # Part (c): series-certified brackets of the 2-vertex missing faces.

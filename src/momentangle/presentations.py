@@ -67,13 +67,6 @@ class Presentation:
     def degree_of(self, name):
         return self.degree_map[name]
 
-    def generator_pairs(self):
-        return tuple((g.name, g.degree) for g in self.generators)
-
-    def relation_degree(self, rel):
-        word = next(iter(rel))
-        return sum(self.degree_map[x] for x in word)
-
     def to_json_dict(self):
         return {
             "target": self.target,
@@ -156,8 +149,8 @@ def abelian_series(p, max_degree):
     The target fixes it: exterior on the degree-1 classes of the cp-case,
     polynomial on every class of the sphere-case.
     """
-    gens = [(g.degree, 1) for g in p.generators if g.label[0] == "coordinate"]
-    return free_gc_series(gens, p.target == "cp-case", max_degree)
+    degrees = [g.degree for g in p.generators if g.label[0] == "coordinate"]
+    return free_gc_series(degrees, p.target == "cp-case", max_degree)
 
 
 def bracket_lists(sigma, n, grading, max_dim, exterior):
@@ -190,7 +183,8 @@ def bracket_lists(sigma, n, grading, max_dim, exterior):
 
 def rewriting_system(p, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
     """Degree-truncated confluent rewriting system for the presentation."""
-    return RewritingSystem(p.generator_pairs(), p.relations, max_degree, budget_words)
+    generators = [(g.name, g.degree) for g in p.generators]
+    return RewritingSystem(generators, p.relations, max_degree, budget_words)
 
 
 def graded_dimensions(p, max_degree, method="rewriting", budget_words=DEFAULT_BUDGET_WORDS):
@@ -209,7 +203,7 @@ def graded_dimensions(p, max_degree, method="rewriting", budget_words=DEFAULT_BU
     """
     if method == "rewriting":
         rs = rewriting_system(p, max_degree, budget_words)
-        return TruncatedSeries.from_coeffs(rs.series(max_degree), max_degree)
+        return TruncatedSeries.from_coeffs(rs.series(), max_degree)
     if method == "linear":
         return _graded_dimensions_linear(p, max_degree, budget_words)
     raise PresentationError(f"unknown method {method!r}")
@@ -226,7 +220,7 @@ def _graded_dimensions_linear(p, max_degree, budget_words):
     # pairs; degree 0 has the unit as its one column.
     letter = {g.name: k for k, g in enumerate(p.generators)}
     degree = [g.degree for g in p.generators]
-    relations = [(p.relation_degree(rel),
+    relations = [(sum(p.degree_map[x] for x in next(iter(rel))),
                   [(letter[w[0]], [letter[x] for x in reversed(w[1:])], c)
                    for w, c in rel.items()])
                  for rel in p.relations]

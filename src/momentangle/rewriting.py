@@ -170,8 +170,9 @@ class RewritingSystem:
                 if deg <= top:
                     pending[deg].append((u, v, k))
 
-    def series(self, max_degree=None):
-        """Counts of normal words per degree, as a list indexed by degree.
+    def series(self):
+        """Counts of normal words per degree through the completion bound,
+        as a list indexed by degree.
 
         A word is normal when it contains no forbidden factor; normal words
         form a basis of the quotient in degrees ≤ the completion bound.
@@ -185,11 +186,7 @@ class RewritingSystem:
         that is forbidden or a proper prefix decides.  Transitions are found
         on first use.
         """
-        cap = self.max_degree if max_degree is None else max_degree
-        if cap > self.max_degree:
-            raise RewritingError(
-                f"series degree {cap} exceeds completion bound {self.max_degree}"
-            )
+        cap = self.max_degree
         rules = self.rules
         # the empty word is a state even without rules
         prefixes = self._by_prefix.keys() | {()}

@@ -55,10 +55,10 @@ class TruncatedSeries:
         return cls.monomial(0, cutoff)
 
     @classmethod
-    def monomial(cls, degree, cutoff, coeff=1):
+    def monomial(cls, degree, cutoff):
         coeffs = [0] * (cutoff + 1)
         if 0 <= degree <= cutoff:
-            coeffs[degree] = coeff
+            coeffs[degree] = 1
         return cls(cutoff=cutoff, coeffs=tuple(coeffs))
 
     def __getitem__(self, degree):
@@ -96,12 +96,6 @@ class TruncatedSeries:
                 if y:
                     out[i + j] += x * y
         return TruncatedSeries(cutoff=cutoff, coeffs=tuple(out))
-
-    def pow(self, exponent):
-        result = TruncatedSeries.one(self.cutoff)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -144,24 +138,24 @@ def series_div_exact(numerator, denominator):
     return TruncatedSeries(cutoff=cutoff, coeffs=tuple(out))
 
 
-def free_gc_series(generators, exterior, cutoff):
+def free_gc_series(degrees, exterior, cutoff):
     """Graded dimension series of a free graded-commutative algebra.
 
-    ``generators`` is an iterable of (degree, multiplicity) pairs.  When
-    ``exterior``, odd-degree generators contribute (1+t^d) factors and
-    even-degree ones 1/(1-t^d); otherwise every generator is polynomial.
+    ``degrees`` lists the degree of each generator.  When ``exterior``,
+    odd-degree generators contribute (1+t^d) factors and even-degree ones
+    1/(1-t^d); otherwise every generator is polynomial.
     """
     result = TruncatedSeries.one(cutoff)
-    for degree, mult in generators:
-        if degree < 1 or mult < 1:
-            raise SeriesError(f"bad generator entry ({degree}, {mult})")
+    for degree in degrees:
+        if degree < 1:
+            raise SeriesError(f"bad generator degree {degree}")
         if exterior and degree % 2 == 1:
             factor = TruncatedSeries.one(cutoff) + TruncatedSeries.monomial(
                 degree, cutoff
             )
         else:
             factor = geometric_series(TruncatedSeries.monomial(degree, cutoff))
-        result = result * factor.pow(mult)
+        result = result * factor
     return result
 
 

@@ -5,8 +5,8 @@ id) is the caller's business, together with a degree map.  Coefficients are
 exact: int, or Fraction where a caller divides (the rewriting completion
 does so only by a leading coefficient other than ±1).  ``word_counts``
 counts the words of a graded alphabet degree by degree under a word budget;
-the Allday homology reads its word counts there and builds only the words
-it ranks.
+the Allday homology lists no word and builds only the rows it ranks, but
+its budget counts there every word through one degree above its bound.
 """
 
 from __future__ import annotations
@@ -27,15 +27,8 @@ class TensorElement(dict):
     """Mapping word -> coefficient; zero coefficients are never stored."""
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def term(cls, word, coeff=1):
-        el = cls()
-        if coeff:
-            el[tuple(word)] = coeff
-        return el
+    def term(cls, word):
+        return cls({tuple(word): 1})
 
     def add_term(self, word, coeff):
         if not coeff:

@@ -95,11 +95,11 @@ def test_series_div_exact_matches_fraction_division(case):
 
 
 def test_free_gc_series_conventions():
-    ext = free_gc_series([(1, 3)], True, 4)
+    ext = free_gc_series([1, 1, 1], True, 4)
     assert ext.coeffs == (1, 3, 3, 1, 0)
-    poly = free_gc_series([(1, 3)], False, 4)
+    poly = free_gc_series([1, 1, 1], False, 4)
     assert poly.coeffs == (1, 3, 6, 10, 15)
-    even = free_gc_series([(2, 1)], True, 6)
+    even = free_gc_series([2], True, 6)
     assert even.coeffs == (1, 0, 1, 0, 1, 0, 1)
 
 
