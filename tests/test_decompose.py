@@ -10,6 +10,7 @@ from momentangle.complexes import (
     SimplicialComplex,
     is_mf_complex,
     missing_faces,
+    parse_complex,
     skeleton_complex,
 )
 from momentangle.decompose import (
@@ -27,7 +28,9 @@ from momentangle.presentations import (
     build_sphere_presentation,
     u_name,
 )
+from momentangle.rewriting import RewritingSystem
 from momentangle.tensor import TensorElement, commutator
+from test_allday import _all_complexes
 
 
 def label_texts(dec, target):
@@ -326,6 +329,55 @@ def test_detect_skeleton(K1):
     assert detect_skeleton(skeleton_complex(4, 2)) == 2
     assert detect_skeleton(skeleton_complex(5, 1)) == 1
     assert detect_skeleton(K1) is None
+
+
+def test_detect_skeleton_matches_the_definition():
+    def by_definition(K):
+        return next((k for k in range(1, K.n)
+                     if K.faces == skeleton_complex(K.n, k).faces), None)
+
+    cases = [K for n in range(1, 5) for K in _all_complexes(n)]
+    for n in range(2, 9):
+        for k in range(1, n):
+            S = skeleton_complex(n, k)
+            cases.append(S)
+            # The same skeleton without one of its top faces.
+            top = max(S.faces, key=len)
+            cases.append(SimplicialComplex(n=n, faces=S.faces - {top}))
+    for K in cases:
+        assert detect_skeleton(K) == by_definition(K), (K.n, sorted(K.faces))
+
+
+def _relabelings(K):
+    """Every distinct relabeling of K, K itself included."""
+    seen = set()
+    for perm in itertools.permutations(range(1, K.n + 1)):
+        L = K.relabel(dict(zip(range(1, K.n + 1), perm)))
+        if L.faces not in seen:
+            seen.add(L.faces)
+            yield L
+
+
+def test_generator_order_changes_no_decomposition(K1, K3, fixtures_dir, monkeypatch):
+    # rewriting_system ranks the generators by how many relations they
+    # occur in; the presentation order must give the same decomposition.
+    # (K2 is not an MF-complex, so it has no decomposition to compare.)
+    def presentation_order(p, max_degree, budget_words):
+        generators = [(g.name, g.degree) for g in p.generators]
+        return RewritingSystem(generators, p.relations, max_degree, budget_words)
+
+    wheel = parse_complex((fixtures_dir / "wheel.sc").read_text())
+    cases = [(K, "cp", None, None) for K in (K1, K3, wheel)]
+    cases += [(K, "spheres", (1,) * K.n, 7) for K in (K1, K3, wheel)]
+    cases += [(K1, "spheres", (1, 2, 1, 2), 7)]
+    for K0, target, dims, max_dim in cases:
+        for K in _relabelings(K0):
+            ranked = consistency_report(K, target, dims, max_dim)
+            with monkeypatch.context() as m:
+                m.setattr(decompose, "rewriting_system", presentation_order)
+                listed = consistency_report(K, target, dims, max_dim)
+            assert ranked.to_json_dict(K) == listed.to_json_dict(K), (target, dims)
+            assert ranked.rejected == listed.rejected, (target, dims)
 
 
 def test_json_schema_and_determinism(K1):

@@ -32,6 +32,7 @@ from momentangle.series import (
     geometric_series,
 )
 from momentangle.tensor import BudgetError, TensorElement, commutator
+from test_decompose import _relabelings
 
 
 def test_cp_presentation_structure(K1):
@@ -136,6 +137,22 @@ def test_linear_oracle_K3_within_the_default_budget(K3):
     # The oracle's coordinates grow with dim A_d, not with the number of words.
     total = graded_dimensions(build_cp_presentation(K3), 11, method="linear")
     assert total.coeffs == (1, 5, 13, 27, 57, 129, 297, 675, 1521, 3429, 7749, 17523)
+
+
+def test_completion_size_does_not_depend_on_vertex_labels(K3):
+    # rewriting_system ranks the generators by how many relations they occur
+    # in; in presentation order the cp completion had 23 to 413 rules and
+    # the sphere one 7 to 2,600 over these labelings.
+    golden = (RECORDED.parent / "loop_homology_K3.txt").read_text()
+    line = next(x for x in golden.splitlines() if x.startswith("graded dimensions"))
+    expected = tuple(int(c) for c in line.split(": ")[1].split())
+    labelings = list(_relabelings(K3))
+    assert len(labelings) == 60
+    for K in labelings:
+        cp = build_cp_presentation(K)
+        assert len(rewriting_system(cp, 11).rules) == 23
+        assert len(rewriting_system(build_sphere_presentation(K, (1,) * 5), 11).rules) == 16
+        assert graded_dimensions(cp, 11).coeffs == expected
 
 
 def test_linear_oracle_budget_names_the_degree(K1):
