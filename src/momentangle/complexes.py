@@ -46,14 +46,7 @@ class SimplicialComplex:
         closed = set()
         for face in generating_faces:
             face = tuple(face)
-            seen = set(face)
-            if len(seen) != len(face):
-                raise ComplexError(f"face {face} repeats a vertex")
-            for v in face:
-                if not (1 <= v <= n):
-                    raise ComplexError(
-                        f"vertex index {v} out of range 1..{n} in face {face}"
-                    )
+            _check_face(face, n)
             face = tuple(sorted(face))
             for k in range(1, len(face) + 1):
                 closed.update(itertools.combinations(face, k))
@@ -143,8 +136,6 @@ def _parse_complex_json(text):
         isinstance(f, list) and all(map(_is_int, f)) for f in faces
     ):
         raise ParseError(f"'faces' must be a list of lists of integers, got {faces!r}")
-    for face in faces:
-        _check_face(tuple(face), n)
     return SimplicialComplex.from_faces(n, faces)
 
 

@@ -20,7 +20,7 @@ nondecreasing lists over 1..n.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb
 
@@ -85,7 +85,7 @@ class WedgeDecomposition:
     truncated: bool
     summands: tuple
     routes: tuple  # ((dimension, ((route_name, count), ...)), ...)
-    rejected: tuple  # ((WhiteheadLabel, reason), ...)
+    rejected: tuple  # ((WhiteheadLabel, reason), ...) in enumeration order
 
     @property
     def flags(self):
@@ -214,41 +214,6 @@ def _bracket_normal_forms(sigma, candidates, p, rs):
         yield js, dim, nf
 
 
-def _small_sigma_candidates(p, rs, small, candidate_js, g, ab_counts):
-    """Select independent part-(c) brackets against the series counts.
-
-    ``candidate_js(sigma)`` yields (js, dimension) pairs in deterministic
-    order, each js after its parent js[:-1].  Returns (selected summands,
-    rejected candidates).
-    """
-    by_dim = {}
-    rejected = []
-    for sigma in small:
-        for js, dim, nf in _bracket_normal_forms(sigma, candidate_js(sigma), p, rs):
-            label = WhiteheadLabel("iterated", sigma, js)
-            if nf.is_zero():
-                rejected.append((label, "zero normal form"))
-                continue
-            by_dim.setdefault(dim, []).append((label, nf))
-    selected = []
-    for dim in sorted(by_dim):
-        acc = IncrementalRank()
-        index = {}
-        needed = g[dim - 1] - ab_counts.get(dim, 0)
-        chosen = []
-        for label, nf in by_dim[dim]:
-            row = {index.setdefault(w, len(index)): c for w, c in nf.items()}
-            if not acc.add(integral(row)):
-                rejected.append((label, "dependent on previously selected brackets"))
-                continue
-            if len(chosen) < needed:
-                chosen.append(label)
-            else:
-                rejected.append((label, "independent but beyond the series count"))
-        selected.extend(SphereSummand(dim, lab, "enumeration") for lab in chosen)
-    return selected, rejected
-
-
 def _decompose(K, target, dims, max_dim, budget_words):
     """The wedge decomposition of both targets; ``dims`` is None for cp."""
     grading, exterior = _grading(target, K.n, dims, max_dim)
@@ -287,12 +252,26 @@ def _decompose(K, target, dims, max_dim, budget_words):
     total = TruncatedSeries.from_coeffs(rs.series(), top)
     g = kernel_generator_series(total, abelian_series(p, top))
 
-    # Part (c): series-certified brackets of the 2-vertex missing faces.
-    small = [s for s in mfs if len(s) == 2]
-    ab_counts = Counter(s.dimension for s in summands)
-    selected, rejected = _small_sigma_candidates(p, rs, small, brackets, g, ab_counts)
-    summands.extend(selected)
+    # Part (c): each nonzero bracket of a 2-vertex missing face that is
+    # independent of its dimension's earlier brackets is a summand while
+    # the enumeration count stays below the series count.
     enum_counts = Counter(s.dimension for s in summands)
+    ranks = defaultdict(lambda: (IncrementalRank(), {}))  # per dim: rank, {word: column}
+    rejected = []
+    for sigma in (s for s in mfs if len(s) == 2):
+        for js, dim, nf in _bracket_normal_forms(sigma, brackets(sigma), p, rs):
+            label = WhiteheadLabel("iterated", sigma, js)
+            if nf.is_zero():
+                rejected.append((label, "zero normal form"))
+                continue
+            acc, index = ranks[dim]
+            if not acc.add(integral({index.setdefault(w, len(index)): c for w, c in nf.items()})):
+                rejected.append((label, "dependent on previously selected brackets"))
+            elif enum_counts[dim] < g[dim - 1]:
+                summands.append(SphereSummand(dim, label, "enumeration"))
+                enum_counts[dim] += 1
+            else:
+                rejected.append((label, "independent but beyond the series count"))
 
     routes = {
         "enumeration": enum_counts,

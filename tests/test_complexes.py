@@ -144,6 +144,25 @@ def test_parse_error_reports_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "face, message",
+    [
+        ((), "empty face"),
+        ((1, 5), "vertex index 5 out of range 1..3"),
+        ((2, 1, 2), "face (2, 1, 2) repeats a vertex"),
+    ],
+)
+def test_from_faces_follows_the_parsers_face_rule(face, message):
+    with pytest.raises(ParseError) as built:
+        SimplicialComplex.from_faces(3, [(1, 2), face])
+    with pytest.raises(ParseError) as parsed:
+        parse_complex("vertices: 3\nface: 1 2\nface: " + " ".join(map(str, face)))
+    with pytest.raises(ParseError) as loaded:
+        parse_complex(f'{{"vertices": 3, "faces": [[1, 2], {list(face)}]}}')
+    assert str(built.value) == str(loaded.value) == message
+    assert str(parsed.value) == f"line 3: {message}"
+
+
 def test_serialize_roundtrip(K1, K2, K3):
     for K in (K1, K2, K3):
         assert parse_complex(serialize_complex(K)) == K

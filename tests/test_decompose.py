@@ -441,3 +441,34 @@ def test_bracket_normal_forms_match_full_expansion(name, target, dims, max_dim,
         for j in js:
             el = commutator(el, TensorElement.term((b_name(j),)), p.degree_of)
         assert nf == rs.normal_form(el), (sigma, js)
+
+
+@pytest.mark.parametrize(
+    "name,dims,max_dim,selected,zero,dependent,beyond",
+    [
+        ("K1", None, None, 0, 3, 0, 0),
+        ("K3", None, None, 2, 16, 2, 1),
+        ("tri", None, None, 0, 0, 0, 0),
+        ("skel42", None, None, 0, 0, 0, 0),
+        ("wheel", None, None, 0, 14, 0, 0),
+        ("pair", None, None, 0, 0, 0, 0),
+        ("K1", (1, 1, 1, 1), 10, 35, 294, 0, 0),
+        ("K1", (1, 2, 1, 2), 10, 15, 64, 0, 0),
+        ("K3", (1, 1, 1, 1, 1), 8, 130, 518, 50, 55),
+        ("pair", (1, 1), 6, 9, 0, 0, 0),
+    ],
+)
+def test_part_c_selection_and_rejection_reasons_are_pinned(
+        name, dims, max_dim, selected, zero, dependent, beyond, fixtures_dir):
+    # A loop that skipped the rank update once a dimension's quota is full
+    # would move "dependent" into "beyond"; the goldens would not see it.
+    K = parse_complex((fixtures_dir / f"{name}.sc").read_text())
+    dec = decompose_cp(K, max_dim) if dims is None else decompose_spheres(K, dims, max_dim)
+    chosen = [s for s in dec.summands
+              if s.label is not None and s.label.kind == "iterated" and len(s.label.sigma) == 2]
+    reasons = [reason for _, reason in dec.rejected]
+    assert len(chosen) == selected
+    assert [reasons.count("zero normal form"),
+            reasons.count("dependent on previously selected brackets"),
+            reasons.count("independent but beyond the series count")] == [zero, dependent, beyond]
+    assert len(reasons) == zero + dependent + beyond
