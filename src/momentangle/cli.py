@@ -10,6 +10,7 @@ exhausted word budget, 4 internal error (a bug, reported in one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,7 +250,10 @@ def cmd_check(args):
     return (EXIT_FLAGGED if flagged else EXIT_OK), doc, lines
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: building it costs more
+    than twenty parses."""
     parser = argparse.ArgumentParser(
         prog="momentangle",
         description="Exact loop-homology and wedge-decomposition calculator "

@@ -25,6 +25,7 @@ sphere presentations has coefficients ±1, so their rules stay integral.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 
 from .tensor import DEFAULT_BUDGET_WORDS, BudgetError, TensorElement
 
@@ -47,8 +48,9 @@ class RewritingSystem:
     (the last ``k`` letters of forbidden word ``u`` are the first ``k`` of
     ``v``) whose S-polynomials are built only when their degree comes up.
     Overlaps of a new forbidden word are looked up in indexes of the proper
-    prefixes and proper suffixes of the earlier ones; the prefix index also
-    bounds the factor search of :meth:`normal_form`.
+    prefixes and proper suffixes of the earlier ones.  The factor search of
+    :meth:`normal_form` starts only where the pair of letters there begins a
+    forbidden word, and the prefix index stops it.
     """
 
     def __init__(self, generators, relations, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
@@ -66,6 +68,8 @@ class RewritingSystem:
         self.rules = {}  # forbidden word -> equivalent lower element
         self._by_prefix = {}  # proper prefix -> forbidden words starting with it
         self._by_suffix = {}  # proper suffix -> forbidden words ending with it
+        self._pairs = set()  # first two letters of each longer forbidden word
+        self._letters = set()  # letters that are forbidden words
         pending = [[] for _ in range(max_degree + 1)]  # degree -> work items
         for rel in relations:
             el = TensorElement()
@@ -100,15 +104,24 @@ class RewritingSystem:
     def _find_factor(self, word):
         """Leftmost position and length of a forbidden factor, or None.
 
-        At each position the lengths grow until the slice is a forbidden
-        word, or is neither one nor a proper prefix of one, after which no
-        longer slice can be forbidden.
+        A forbidden word of two or more letters starts at a position whose
+        pair of letters is in ``_pairs``, so only those positions are tried,
+        from length 2 on; a scan that runs in C finds them.  A forbidden
+        letter in the word makes every position a start, from length 1 on.
+        At each start the lengths grow until the slice is a forbidden word,
+        or is neither one nor a proper prefix of one, after which no longer
+        slice can be forbidden.
         """
         rules = self.rules
         prefixes = self._by_prefix
         n = len(word)
-        for i in range(n):
-            for j in range(i + 1, n + 1):
+        if self._letters.isdisjoint(word):
+            begins = map(self._pairs.__contains__, zip(word, word[1:]))
+            starts, shortest = compress(count(), begins), 2
+        else:
+            starts, shortest = range(n), 1
+        for i in starts:
+            for j in range(i + shortest, n + 1):
                 factor = word[i:j]
                 if factor in rules:
                     return i, j - i
@@ -154,6 +167,10 @@ class RewritingSystem:
         self.rules[lead] = TensorElement(
             {w: -v // c if v % c == 0 else Fraction(-v, c) for w, v in nf.items()}
         )
+        if len(lead) == 1:
+            self._letters.add(lead[0])
+        else:
+            self._pairs.add(lead[:2])
         top = self.max_degree
         degree = self.word_degree(lead)
         for k in range(1, len(lead)):

@@ -67,18 +67,24 @@ class TensorElement(dict):
         return not self
 
     def degrees(self, degree_of):
-        return {sum(degree_of(x) for x in w) for w in self}
+        return {sum(map(degree_of, w)) for w in self}
 
     def sorted_terms(self):
         return sorted(self.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def commutator(x, y, degree_of):
-    """Graded commutator [x, y] = xy - (-1)^{|x||y|} yx for homogeneous x, y."""
+    """Graded commutator [x, y] = xy - (-1)^{|x||y|} yx for homogeneous x, y,
+    built in one element: the terms of xy, then those of yx."""
     dx = _homogeneous_degree(x, degree_of)
     dy = _homogeneous_degree(y, degree_of)
     sign = -1 if (dx * dy) % 2 == 0 else 1
-    return x * y + (y * x).scale(sign)
+    out = x * y
+    add = out.add_term
+    for w2, c2 in y.items():
+        for w1, c1 in x.items():
+            add(w2 + w1, sign * c2 * c1)
+    return out
 
 
 def _homogeneous_degree(el, degree_of):

@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from momentangle import cli
 from momentangle.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -71,3 +72,15 @@ def test_cli_output_matches_golden(name, code, sub, fixture, extra):
     got_code, got = run([sub, *inputs, *extra])
     assert got_code == code
     assert got == (GOLDEN / name).read_text()
+
+
+def test_calls_in_one_process_share_one_parser():
+    # One parser serves every call; what one call parses must not leak into
+    # the next, so a loop-homology call follows a decompose call and repeats.
+    cli.build_parser.cache_clear()
+    by_name = {case[0]: case for case in CASES}
+    for name in ("loop_homology_K3.txt", "decompose_spheres_K1_1111.txt",
+                 "loop_homology_K3.txt"):
+        _, code, sub, fixture, extra = by_name[name]
+        assert run([sub, str(FIXTURES / fixture), *extra]) == (code, (GOLDEN / name).read_text())
+    assert cli.build_parser.cache_info().misses == 1

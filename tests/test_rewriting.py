@@ -238,6 +238,55 @@ def test_leading_coefficient_two_gives_fraction_tail():
     assert type(tail[("a", "b")]) is Fraction
 
 
+def brute_force_factor(rules, word):
+    """(leftmost start of a forbidden factor of ``word``, length of the
+    shortest forbidden word there), or None, by trying every rule at every
+    position."""
+    return next(((i, len(f)) for i in range(len(word))
+                 for f in sorted(rules, key=len) if word[i : i + len(f)] == f), None)
+
+
+@st.composite
+def systems_and_words(draw):
+    """(generators, relations, completion bound, words of length 0-8): a
+    monomial system or a ``small_presentations`` system; either may have
+    forbidden words that are single letters."""
+    if draw(st.booleans()):
+        degrees, relations, bound, _ = draw(monomial_systems())
+        generators = list(degrees.items())
+        relations = [TensorElement.term(w) for w in relations]
+    else:
+        p, bound = draw(small_presentations())
+        generators = [(g.name, g.degree) for g in p.generators]
+        relations = p.relations
+    letters = [x for x, _ in generators]
+    words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=8).map(tuple),
+                          min_size=1, max_size=20))
+    return generators, relations, bound, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_and_words())
+# The forbidden letter a and the forbidden pair b·b, in words that hold
+# both, one or neither.
+@example(([("a", 1), ("b", 1)], [TensorElement.term(("a",)), TensorElement.term(("b", "b"))],
+          3, [("b", "a", "b", "b"), ("b", "b"), ("b",), ()]))
+def test_find_factor_matches_brute_force(case):
+    # Checked after every rule the completion adds, when the pair index
+    # holds only the rules so far, and once the completion is done.
+    generators, relations, bound, words = case
+
+    class Checked(RewritingSystem):
+        def _add_rule(self, element, pending):
+            super()._add_rule(element, pending)
+            for word in words:
+                assert self._find_factor(word) == brute_force_factor(self.rules, word), word
+
+    rs = Checked(generators, relations, bound)
+    for word in words:
+        assert rs._find_factor(word) == brute_force_factor(rs.rules, word), word
+
+
 def rule_digest(rs):
     """SHA-256 of the rules as sorted (word, tail) pairs, each tail sorted
     and each coefficient written as str(Fraction(c))."""
