@@ -280,7 +280,9 @@ class _Blocks:
     times in lexicographic generator order: each generator I inside c, in
     order, followed by every word of W(c - I, L - 1).  ``self(c, L)`` is
     (size, segments), ``segments`` mapping each such I with words to
-    (c - I, start, stop), where they sit; no word is listed.  Row u of
+    (c - I, start, stop), where they sit; no word is listed.  The first
+    letters I, with c - I, depend only on c and are listed once per
+    content, for every L.  Row u of
     ``rows(c, L)`` holds the coefficient of u in d(w) for every w in
     W(c, L - 1), keyed by -(position of w).  Every term of d(b_K) must be a
     two-letter word (ModelError names b_K if not): then for u = I·J·v a
@@ -292,6 +294,7 @@ class _Blocks:
     def __init__(self, model):
         self.letters = [(I, [v - 1 for v in I]) for I in model.generators]
         self.memo = {((0,) * len(model.dims), 0): (1, {})}
+        self.firsts = {}  # c: [(I, c - I)] for each letter I inside c
         self.odd = model._odd
         self.co_terms = {}  # I·J: [(K, coefficient of I·J in d(b_K))]
         for K, terms in model.differential.items():
@@ -314,8 +317,11 @@ class _Blocks:
             if not max(c) <= L <= sum(c):
                 memo[key] = (0, {})
                 continue
-            firsts = [(I, tuple(k - (v in vs) for v, k in enumerate(c)))
-                      for I, vs in self.letters if all(c[v] for v in vs)]
+            firsts = self.firsts.get(c)
+            if firsts is None:
+                firsts = self.firsts[c] = [
+                    (I, tuple(k - (v in vs) for v, k in enumerate(c)))
+                    for I, vs in self.letters if all(c[v] for v in vs)]
             missing = [(rest, L - 1) for _, rest in firsts if (rest, L - 1) not in memo]
             if missing:
                 stack.extend(missing)

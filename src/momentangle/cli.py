@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .allday import (
     ModelError,
@@ -312,6 +312,34 @@ def build_parser():
     return parser
 
 
+def json_text(doc, indent=""):
+    """``json.dumps(doc, indent=2)`` for the documents the reports build.
+
+    The standard encoder runs in pure Python when it indents.  This one
+    joins strings: dicts with str keys, lists, str, int, bool and None;
+    any other type raises TypeError.
+    """
+    t = type(doc)
+    if t is str:
+        return encode_basestring_ascii(doc)
+    if t is int:
+        return int.__repr__(doc)
+    if t is bool:
+        return "true" if doc else "false"
+    if doc is None:
+        return "null"
+    if t is not dict and t is not list:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not doc:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    if t is dict:
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in doc.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    items = [json_text(v, inner) for v in doc]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -341,7 +369,7 @@ def main(argv=None):
         return EXIT_INTERNAL
     try:
         if args.json:
-            print(json.dumps(doc, indent=2))
+            print(json_text(doc))
         else:
             for line in lines:
                 print(line)

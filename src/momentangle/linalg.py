@@ -11,6 +11,9 @@ needed, so entries stay integers without any gcd step.  A pivot with any
 other entry scales the row by pivot/gcd and divides the result by the gcd
 of its entries, so there is no coefficient blow-up from rational
 arithmetic.  Every row stored as a pivot is normalized; results are exact.
+A row with an entry ±1 already has gcd 1, so it is stored as it is,
+without a gcd pass.  An input row is copied, and rebuilt without zeros
+only when it holds one.
 The remainder of a row modulo the pivots is taken over the rationals, and
 it turns to ``Fraction`` only through a pivot entry other than ±1.
 
@@ -73,13 +76,17 @@ class IncrementalRank:
 
         The caller's dict is not modified.
         """
-        row = {c: v for c, v in row.items() if v}
+        row = dict(row)
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
         pivots = self.pivots
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = _normalize(row)
+                values = row.values()
+                # An entry ±1 makes the gcd 1 already.
+                pivots[col] = row if 1 in values or -1 in values else _normalize(row)
                 self.rank += 1
                 return True
             a = pivot[col]

@@ -255,6 +255,45 @@ def test_json_output_is_deterministic(fixtures_dir):
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+def test_json_text_matches_json_dumps_on_the_goldens(fixtures_dir):
+    goldens = sorted((fixtures_dir.parent / "golden").glob("*.json"))
+    assert len(goldens) == 14
+    for path in goldens:
+        doc = json.loads(path.read_text())
+        assert cli.json_text(doc) == json.dumps(doc, indent=2), path.name
+
+
+# Quotes, backslashes, control and non-ASCII characters (astral ones too,
+# which encode as surrogate pairs) next to anything hypothesis draws.
+json_strings = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€😀'),
+                                 st.characters()))
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_docs)
+def test_json_text_matches_json_dumps(doc):
+    assert cli.json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], [[]], {"": {}}, [{}, [], [[], {}]], {"a": [True, 1, False, 0, None]},
+    [1, True, 0, False], {"\x00\"\\é": "😀\n"},
+])
+def test_json_text_examples(doc):
+    assert cli.json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, [0.0], {"x": [1, {"y": 2.0}]}, (1, 2)])
+def test_json_text_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        cli.json_text(doc)
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.sc"
     bad.write_text("vertices: 3\nface: 9\n")

@@ -77,10 +77,22 @@ def test_add_reports_growth_and_keeps_caller_row(rows):
         assert acc.rank == dense_rank(rows[: i + 1])
     for col, pivot in acc.pivots.items():
         assert min(pivot) == col
+        assert all(pivot.values())
         g = 0
         for v in pivot.values():
             g = gcd(g, v)
         assert abs(g) == 1
+
+
+def test_stored_pivot_rows_examples():
+    # Zeros are dropped and the gcd divided out; a row with an entry ±1
+    # already has gcd 1 and is stored unscaled.  The caller's rows stay.
+    acc = IncrementalRank()
+    even, unit = {0: 2, 1: 0, 2: 4}, {1: 4, 3: -1, 4: 6}
+    assert acc.add(even) and acc.add(unit)
+    assert acc.pivots == {0: {0: 1, 2: 2}, 1: {1: 4, 3: -1, 4: 6}}
+    assert even == {0: 2, 1: 0, 2: 4} and unit == {1: 4, 3: -1, 4: 6}
+    assert acc.pivots[1] is not unit
 
 
 @settings(max_examples=300, deadline=None)
