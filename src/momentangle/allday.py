@@ -162,19 +162,12 @@ def check_d_squared(model, max_degree):
     (False, witness_word).
     """
     low = [I for I in model.generators if model.degree_of(I) <= max_degree]
-    for I in low:
-        dd = model.d_element(model.differential[I])
+    pairs = [(I, J) for I in low for J in low
+             if model.degree_of(I) + model.degree_of(J) <= max_degree]
+    for word in [(I,) for I in low] + pairs:
+        dd = model.d_element(model.d_word(word))
         if not dd.is_zero():
-            witness = min(dd, key=lambda w: (len(w), w))
-            return False, witness
-    for I in low:
-        for J in low:
-            if model.degree_of(I) + model.degree_of(J) > max_degree:
-                continue
-            dd = model.d_element(model.d_word((I, J)))
-            if not dd.is_zero():
-                witness = min(dd, key=lambda w: (len(w), w))
-                return False, witness
+            return False, min(dd, key=lambda w: (len(w), w))
     return True, None
 
 
@@ -339,7 +332,10 @@ class _Blocks:
         """Turn i ranks the blocks ``ranked[i]``.  A tail is a block whose rows
         the rows of a ranked block, or of another tail, are built from.
         ``build[i]`` lists, shortest first, the tails that turn i is the first
-        to read or to rank; ``drop[i]`` those that it is the last to read."""
+        to read or to rank; ``drop[i]`` those that it is the last to read.
+        A tail's own tails are read only when it is built, so each tail is
+        walked once, when it is first met, and a ranked one at its turn."""
+        ranked_at = {key: i for i, blocks in enumerate(ranked) for key in blocks}
         turns = {}  # tail: [first turn, last turn]
         for i, blocks in enumerate(ranked):
             todo = blocks[::-1]  # shortest first: the table revisits fewer blocks
@@ -348,12 +344,9 @@ class _Blocks:
                 if self(c, L - 1)[0]:
                     for key in [(rest, L - 1) for rest, _, _ in self(c, L)[1].values()
                                 if self(rest, L - 2)[0]]:  # else its rows are empty
-                        if turns.setdefault(key, [i, None])[1] != i:
-                            turns[key][1] = i
+                        if key not in turns and key not in ranked_at:
                             todo.append(key)
-        for i, blocks in enumerate(ranked):
-            for key in set(blocks) & turns.keys():
-                turns[key][0] = i  # a ranked tail: later turns read it
+                        turns.setdefault(key, [ranked_at.get(key, i), i])[1] = i
         self.build, self.drop = [[] for _ in ranked], [[] for _ in ranked]
         for key in sorted(turns, key=lambda key: key[1]):
             self.build[turns[key][0]].append(key)

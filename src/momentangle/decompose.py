@@ -73,7 +73,7 @@ class SphereSummand:
 
     dimension: int
     label: WhiteheadLabel | None
-    provenance: str  # "enumeration", "series", or "porter"
+    provenance: str  # "enumeration" or "porter"
     count: int = 1
 
 
@@ -107,13 +107,12 @@ class WedgeDecomposition:
         for dim in sorted(by_dim):
             group = by_dim[dim]
             labels = [s.label.to_json_dict() for s in group if s.label is not None]
-            provenance = sorted({s.provenance for s in group})
             summands.append(
                 {
                     "dimension": dim,
                     "count": sum(s.count for s in group),
                     "labels": labels,
-                    "provenance": "+".join(provenance),
+                    "provenance": group[0].provenance,  # one route per dimension
                 }
             )
         doc = {}
@@ -230,6 +229,16 @@ def _decompose(K, target, dims, max_dim, budget_words):
     def brackets(sigma):
         return bracket_lists(sigma, K.n, grading, max_dim, exterior)
 
+    p = build_cp_presentation(K) if exterior else build_sphere_presentation(K, grading)
+    # The kernel series counts spheres of dimension d + 1 in degree d, so it
+    # is needed through degree max_dim − 1; at max_dim 0 it runs to degree
+    # 0, where it is zero.  It is counted under the word budget before part
+    # (b) lists its brackets, which are no more than the normal words.
+    top = max(max_dim - 1, 0)
+    rs = rewriting_system(p, top, budget_words)
+    total = TruncatedSeries.from_coeffs(rs.series(), top)
+    g = kernel_generator_series(total, abelian_series(p, top))
+
     # Part (a): w_sigma per missing face; part (b): the brackets of each
     # missing face with ≥ 3 vertices.
     summands = []
@@ -242,15 +251,6 @@ def _decompose(K, target, dims, max_dim, budget_words):
                 SphereSummand(dim, WhiteheadLabel("iterated", sigma, js), "enumeration")
                 for js, dim in brackets(sigma)
             )
-
-    p = build_cp_presentation(K) if exterior else build_sphere_presentation(K, grading)
-    # The kernel series counts spheres of dimension d + 1 in degree d, so it
-    # is needed through degree max_dim − 1; at max_dim 0 it runs to degree
-    # 0, where it is zero.
-    top = max(max_dim - 1, 0)
-    rs = rewriting_system(p, top, budget_words)
-    total = TruncatedSeries.from_coeffs(rs.series(), top)
-    g = kernel_generator_series(total, abelian_series(p, top))
 
     # Part (c): each nonzero bracket of a 2-vertex missing face that is
     # independent of its dimension's earlier brackets is a summand while
@@ -281,18 +281,11 @@ def _decompose(K, target, dims, max_dim, budget_words):
     if k is not None:
         routes["porter"] = _porter_counts(K.n, k, grading, exterior, max_dim)
 
-    # Unlabeled series-certified summands fill where enumeration fell short.
-    for dim, want in routes["series"].items():
-        if want > enum_counts[dim]:
-            summands.append(SphereSummand(dim, None, "series", want - enum_counts[dim]))
     table = tuple(
         (dim, tuple((name, counts.get(dim, 0)) for name, counts in routes.items()))
         for dim in sorted(set().union(*routes.values()))
     )
-    summands.sort(key=lambda s: (s.dimension, s.label is None,
-                                 s.label.kind if s.label else "",
-                                 s.label.sigma if s.label else (),
-                                 s.label.js if s.label else ()))
+    summands.sort(key=lambda s: (s.dimension, s.label.kind, s.label.sigma, s.label.js))
     return WedgeDecomposition(
         target=target,
         dims=None if exterior else grading,

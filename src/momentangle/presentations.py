@@ -62,13 +62,9 @@ class Presentation:
     target: str  # "cp-case" or "sphere-case"
 
     @cached_property
-    def degree_map(self):
-        return {g.name: g.degree for g in self.generators}
-
-    @cached_property
     def degree_of(self):
         """``degree_of(name)``, a dict lookup that raises KeyError on unknown names."""
-        return self.degree_map.__getitem__
+        return {g.name: g.degree for g in self.generators}.__getitem__
 
     def to_json_dict(self):
         return {
@@ -234,7 +230,7 @@ def _graded_dimensions_linear(p, max_degree, budget_words):
     # pairs; degree 0 has the unit as its one column.
     letter = {g.name: k for k, g in enumerate(p.generators)}
     degree = [g.degree for g in p.generators]
-    relations = [(sum(p.degree_map[x] for x in next(iter(rel))),
+    relations = [(sum(map(p.degree_of, next(iter(rel)))),
                   [(letter[w[0]], [letter[x] for x in reversed(w[1:])], c)
                    for w, c in rel.items()])
                  for rel in p.relations]

@@ -395,6 +395,24 @@ def test_fat_wedge_builds_a_fraction_of_the_words(monkeypatch):
     assert 0 < sum(built) < counted / 3
 
 
+def test_tails_are_held_only_until_their_last_reader(monkeypatch):
+    # A tail's own tails are read once, when it is built, so the later
+    # turns that read the tail do not keep them; holding them until those
+    # turns peaked at 19,505 rows here.
+    held = []
+    rows = allday._Blocks.rows
+
+    def counting(self, content, length, cleared=()):
+        held.append(sum(map(len, self.tails.values())))
+        return rows(self, content, length, cleared)
+
+    monkeypatch.setattr(allday._Blocks, "rows", counting)
+    h = homology_series(build_product_model((1, 2, 1)), 12)
+    spheres = [_loop_sphere_series(m, 12) for m in (1, 2, 1)]
+    assert h == spheres[0] * spheres[1] * spheres[2]  # Künneth
+    assert 0 < max(held) <= 13_031
+
+
 def test_bounded_build_computes_d_only_below_the_bound(monkeypatch):
     # The CLI builds through D + 1, the only generators the homology reads;
     # the degree counts still list every face of K.

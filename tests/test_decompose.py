@@ -29,7 +29,7 @@ from momentangle.presentations import (
     u_name,
 )
 from momentangle.rewriting import RewritingSystem
-from momentangle.tensor import TensorElement, commutator
+from momentangle.tensor import BudgetError, TensorElement, commutator
 from test_allday import _all_complexes
 
 
@@ -121,6 +121,19 @@ def test_decompose_cp_truncation(K1):
     dec = decompose_cp(K1, max_dim=5)
     assert dec.truncated
     assert dec.counts() == {3: 1, 5: 2}
+
+
+def test_the_budgeted_count_runs_before_any_bracket_is_listed(monkeypatch):
+    # The part-(b) brackets of a hollow triangle grow with the isolated
+    # vertices beside it, and listing them is not budgeted; the normal-word
+    # count is, so it runs first and stops the decomposition before any list.
+    listed = []
+    monkeypatch.setattr(decompose, "bracket_lists",
+                        lambda *args: listed.append(args) or bracket_lists(*args))
+    K = SimplicialComplex.from_faces(11, [(1, 2), (1, 3), (2, 3)])
+    with pytest.raises(BudgetError, match="normal-word budget 10000 exhausted"):
+        decompose_cp(K, budget_words=10_000)
+    assert listed == []
 
 
 def test_skeleton42_flag_pin():

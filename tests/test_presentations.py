@@ -48,7 +48,7 @@ def test_cp_presentation_structure(K1):
 
 def test_cp_presentation_two_vertex_faces_get_no_generator(K1):
     p = build_cp_presentation(K1)
-    assert "u(3,4)" not in p.degree_map
+    assert "u(3,4)" not in [g.name for g in p.generators]
 
 
 def test_sphere_presentation_structure(K1):
