@@ -20,22 +20,14 @@ the block's homology.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial, inf
 
-from .complexes import SimplicialComplex, face_degree, skeleton_complex, sphere_grading
+from .complexes import face_degree, sphere_grading
 from .linalg import sparse_rank
-from .series import (
-    SeriesError,
-    TruncatedSeries,
-    free_gc_series,
-    geometric_series,
-    shuffle_sign,
-    type2_shuffles,
-)
-from .tensor import DEFAULT_BUDGET_WORDS, TensorElement, commutator, word_counts
+from .series import SeriesError, TruncatedSeries, free_gc_series, geometric_series
+from .tensor import DEFAULT_BUDGET_WORDS, TensorElement, word_counts
 
 
 class ModelError(ValueError):
@@ -46,25 +38,30 @@ def a_element(I, dims):
     """Signed sum of commutators attached to the index set I.
 
     -sum over type-II shuffles (J, J') of (-1)^(|b_J| + eps(J,J')) [b_J, b_J'],
-    homogeneous of degree |b_I| - 1.  This is the unique sign rule (up to a
-    global sign) of this shape for which the differential squares to zero
-    for every choice of sphere parameters; when all parameters are 1 the
-    exponent |b_J| is odd for every shuffle and the rule reduces to a
-    constant overall sign.
+    homogeneous of degree |b_I| - 1.  A type-II shuffle splits I into
+    nonempty increasing blocks J, J' with J[0] = I[0]; the splits are taken
+    in lexicographic order of J, and each writes its two terms b_J b_J' and
+    b_J' b_J, 2 (2^(|I|-1) - 1) terms in all.  eps(J, J') is the Koszul
+    sign of the reordering z_I -> z_J z_J' of the symbols z_i of degree
+    m_i + 1: the parity of the odd symbols of J' moved past odd ones of J.
+    This is the unique sign rule (up to a global sign) of this shape for
+    which the differential squares to zero for every choice of sphere
+    parameters; when all parameters are 1 the exponent |b_J| is odd for
+    every shuffle and the rule reduces to a constant overall sign.
     """
     I = tuple(I)
     if len(I) < 2:
         raise ModelError(f"index set must have at least two vertices, got {I}")
-    zdeg = {i: dims[i - 1] + 1 for i in I}
-    degree_of = lambda J: face_degree(J, dims)
+    odd = {i for i in I if dims[i - 1] % 2 == 0}
+    rest = I[1:]
     total = TensorElement()
-    for J, Jp in type2_shuffles(I):
-        eps = shuffle_sign(I, J, Jp, zdeg)
-        sign = -1 if (face_degree(J, dims) + eps) % 2 == 0 else 1
-        bracket = commutator(
-            TensorElement.term((J,)), TensorElement.term((Jp,)), degree_of
-        )
-        total = total + bracket.scale(sign)
+    for J in sorted(I[:1] + tail for r in range(len(rest)) for tail in combinations(rest, r)):
+        Jp = tuple(v for v in rest if v not in J)
+        eps = sum(y < x for x in J if x in odd for y in Jp if y in odd)
+        dJ, dJp = face_degree(J, dims), face_degree(Jp, dims)
+        sign = 1 if (dJ + eps) % 2 else -1
+        total[J, Jp] = sign
+        total[Jp, J] = sign if dJ * dJp % 2 else -sign
     return total
 
 
@@ -75,7 +72,6 @@ class DGAModel:
     dims: tuple
     generators: tuple  # index tuples, sorted by (length, lex)
     differential: dict = field(compare=False)
-    K: SimplicialComplex = field(default=None, compare=False)  # the builders' complex
 
     def __post_init__(self):
         # The degree parity of each generator, computed once.
@@ -94,7 +90,7 @@ class DGAModel:
         closed under d, and it holds every word through ``max_degree``.
         """
         gens = tuple(I for I in self.generators if self.degree_of(I) <= max_degree)
-        return DGAModel(self.dims, gens, {I: self.differential[I] for I in gens}, self.K)
+        return DGAModel(self.dims, gens, {I: self.differential[I] for I in gens})
 
     def d_word(self, word):
         """Derivation extension: d(xy) = d(x)y + (-1)^|x| x d(y)."""
@@ -119,10 +115,6 @@ class DGAModel:
                 total.add_term(w2, coeff * c2)
         return total
 
-    def generator_degree_counts(self):
-        """Faces of K per generator degree, those above a build bound too."""
-        return dict(sorted(Counter(map(self.degree_of, self.K.sorted_faces())).items()))
-
 
 def _validate_dims(dims):
     dims = sphere_grading(dims)
@@ -131,26 +123,54 @@ def _validate_dims(dims):
     return dims
 
 
-def _build_model(K, dims, max_degree=inf):
+def _build_model(dims, faces):
     """Model of the polyhedral product (S^{m+1})^K: one generator per face of
-    K of degree <= ``max_degree``, in (length, lex) order; d is a_element, 0 on vertices."""
-    dims = sphere_grading(dims, K.n)
-    gens = tuple(I for I in K.sorted_faces() if face_degree(I, dims) <= max_degree)
+    K, the faces given in (length, lex) order; d is a_element, 0 on vertices."""
+    gens = tuple(faces)
     diff = {I: a_element(I, dims) if len(I) >= 2 else TensorElement() for I in gens}
-    return DGAModel(dims=dims, generators=gens, differential=diff, K=K)
+    return DGAModel(dims=dims, generators=gens, differential=diff)
+
+
+def _simplex_faces(dims, max_degree, top):
+    """The faces of degree <= ``max_degree`` of the simplex on the vertices
+    1..n, size by size in lex order, the top face only when ``top``.  A size
+    whose lightest subset is above the bound ends the walk."""
+    n, lightest = len(dims), sorted(dims)
+    for k in range(1, n + 1 if top else n):
+        if sum(lightest[:k]) + k - 1 > max_degree:
+            return
+        for I in combinations(range(1, n + 1), k):
+            if face_degree(I, dims) <= max_degree:
+                yield I
 
 
 def build_fat_wedge_model(dims, max_degree=inf):
     """Model of the fat wedge: K is the boundary of the simplex."""
     dims = _validate_dims(dims)
-    return _build_model(skeleton_complex(len(dims), 1), dims, max_degree)
+    return _build_model(dims, _simplex_faces(dims, max_degree, top=False))
 
 
 def build_product_model(dims, max_degree=inf):
     """Model of the product: K is the simplex, whose top face attaches the top cell."""
     dims = _validate_dims(dims)
-    n = len(dims)
-    return _build_model(SimplicialComplex.from_faces(n, [range(1, n + 1)]), dims, max_degree)
+    return _build_model(dims, _simplex_faces(dims, max_degree, top=True))
+
+
+def generator_degree_counts(dims, top):
+    """Generators per degree of the fat wedge, or of the product when ``top``.
+
+    The subsets of the vertices with weights m_i + 1 are counted by weight
+    by the product of the (1 + t^(m_i + 1)); a face's generator sits one
+    degree below its weight, and only the top face has the top weight.
+    """
+    weights = [1]
+    for m in dims:
+        pad = [0] * (m + 1)
+        weights = [a + b for a, b in zip(weights + pad, pad + weights)]
+    counts = {w - 1: c for w, c in enumerate(weights) if w and c}
+    if not top:
+        del counts[len(weights) - 2]
+    return counts
 
 
 def check_d_squared(model, max_degree):

@@ -20,6 +20,7 @@ from .allday import (
     build_fat_wedge_model,
     build_product_model,
     bubenik_series,
+    generator_degree_counts,
     homology_series,
 )
 from .complexes import (
@@ -194,11 +195,15 @@ def cmd_loop_homology(args):
 def cmd_allday(args):
     build = build_product_model if args.model == "product" else build_fat_wedge_model
     D = args.max_degree
+    # The closed form refuses fewer than 3 spheres; that is said before
+    # the model is built and its homology computed.
+    if args.check_bubenik:
+        b = bubenik_series(args.dims, args.convention != "polynomial-all", D)
     # homology_series reads only the generators of degree <= D + 1; it
     # certifies d^2 = 0 there, and raises ModelError with a witness if not.
     model = build(args.dims, D + 1)
     h = homology_series(model, D, args.budget_words)
-    degree_counts = model.generator_degree_counts()
+    degree_counts = generator_degree_counts(model.dims, args.model == "product")
     lines = [
         "generator degrees: " + " ".join(f"{d}:{c}" for d, c in degree_counts.items()),
         "d^2=0: ok",
@@ -213,7 +218,6 @@ def cmd_allday(args):
     lines.append(f"homology series (degrees 0..{D}): {_series_text(h)}")
     doc["homology_series"] = list(h.coeffs)
     if args.check_bubenik:
-        b = bubenik_series(model.dims, args.convention != "polynomial-all", D)
         agree = h == b
         lines.append(f"Bubenik closed form (degrees 0..{D}): {_series_text(b)}")
         lines.append("homology == Bubenik closed form: " + ("ok" if agree else "MISMATCH"))

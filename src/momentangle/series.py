@@ -1,4 +1,4 @@
-"""Exact graded arithmetic: truncated integer series and shuffle signs.
+"""Exact graded arithmetic: truncated integer series.
 
 All Hilbert/Poincare-style comparisons in the package go through
 :class:`TruncatedSeries`.  Coefficients are integers by design: every series
@@ -8,7 +8,6 @@ signals a bug or a failed factorization and is raised, never rounded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,43 +157,3 @@ def free_gc_series(degrees, exterior, cutoff):
         result = result * factor
     return result
 
-
-def type2_shuffles(I):
-    """All splits (J, J') of I into nonempty increasing blocks with J[0] = I[0].
-
-    Exactly 2^(len(I)-1) - 1 pairs, ordered by J lexicographically.
-    """
-    I = tuple(I)
-    if len(I) < 2:
-        raise SeriesError(f"need at least two entries, got {I}")
-    head, rest = I[0], I[1:]
-    pairs = []
-    for r in range(0, len(rest)):
-        for tail in itertools.combinations(rest, r):
-            J = (head,) + tail
-            Jset = set(J)
-            Jp = tuple(v for v in rest if v not in Jset)
-            if Jp:
-                pairs.append((J, Jp))
-    pairs.sort(key=lambda p: p[0])
-    return pairs
-
-
-def shuffle_sign(I, J, Jp, z_degrees):
-    """Koszul sign epsilon in {0,1} of the reordering z_I -> z_J z_J'.
-
-    ``z_degrees`` maps each vertex of I to its symbol degree.  The sign is
-    the parity of the transposed pairs (one element of J' moved past one of
-    J) whose symbol degrees are both odd.
-    """
-    I, J, Jp = tuple(I), tuple(J), tuple(Jp)
-    if tuple(sorted(J + Jp)) != tuple(sorted(I)) or not J or not Jp or J[0] != I[0]:
-        raise SeriesError(f"({J}, {Jp}) is not a type-II shuffle of {I}")
-    eps = 0
-    for x in J:
-        if z_degrees[x] % 2 == 0:
-            continue
-        for y in Jp:
-            if y < x and z_degrees[y] % 2 == 1:
-                eps += 1
-    return eps % 2

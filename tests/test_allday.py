@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from momentangle.allday import (
     build_product_model,
     bubenik_series,
     check_d_squared,
+    generator_degree_counts,
     homology_series,
 )
 from momentangle.complexes import (
@@ -54,6 +56,42 @@ def test_a_element_rejects_singleton():
         a_element((1,), (1, 1))
 
 
+def _permutation_sign_oracle(I, J, Jp, z_degrees):
+    """Koszul sign of sorting the odd symbols of J + J' back to I's order."""
+    arrangement = list(J) + list(Jp)
+    sign = 0
+    for a, b in itertools.combinations(range(len(arrangement)), 2):
+        x, y = arrangement[a], arrangement[b]
+        if x > y and z_degrees[x] % 2 == 1 and z_degrees[y] % 2 == 1:
+            sign += 1
+    return sign % 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=6, max_size=6),
+)
+def test_shuffle_sign_matches_permutation_oracle(k, ms):
+    # Every coefficient of a_element: -(-1)^(|b_J| + eps) on b_J b_J' for
+    # each type-II shuffle, eps the oracle's Koszul sign, and the graded
+    # commutator's sign on b_J' b_J.
+    dims = tuple(ms)
+    I = tuple(range(1, k + 1))
+    z = {i: dims[i - 1] + 1 for i in I}
+    a = a_element(I, dims)
+    assert len(a) == 2 * (2 ** (k - 1) - 1)
+    splits = [(J, Jp) for J, Jp in a if J[0] == I[0]]
+    assert len(splits) == 2 ** (k - 1) - 1
+    for J, Jp in splits:
+        assert list(J) == sorted(J) and list(Jp) == sorted(Jp)
+        assert tuple(sorted(J + Jp)) == I
+        dJ, dJp = face_degree(J, dims), face_degree(Jp, dims)
+        sign = -((-1) ** (dJ + _permutation_sign_oracle(I, J, Jp, z)))
+        assert a[J, Jp] == sign
+        assert a[Jp, J] == -sign * (-1) ** (dJ * dJp)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=2, max_value=5),
@@ -78,10 +116,20 @@ def test_model_generators():
 
 
 def test_model_generator_counts():
-    fw = build_fat_wedge_model((1, 1, 1))
-    assert fw.generator_degree_counts() == {1: 3, 3: 3}
-    fw2 = build_fat_wedge_model((2, 2, 2))
-    assert fw2.generator_degree_counts() == {2: 3, 5: 3}
+    assert generator_degree_counts((1, 1, 1), top=False) == {1: 3, 3: 3}
+    assert generator_degree_counts((2, 2, 2), top=False) == {2: 3, 5: 3}
+    assert generator_degree_counts((1, 2, 1), top=True) == {1: 2, 2: 1, 3: 1, 4: 2, 6: 1}
+
+
+def test_generator_degree_counts_count_the_faces():
+    # The closed form against the faces of the boundary of the simplex and
+    # of the simplex, counted by degree.
+    for n in range(2, 7):
+        simplex = SimplicialComplex.from_faces(n, [range(1, n + 1)])
+        for dims in itertools.product((1, 2, 3), repeat=n):
+            for K, top in ((skeleton_complex(n, 1), False), (simplex, True)):
+                expected = Counter(face_degree(f, dims) for f in K.faces)
+                assert generator_degree_counts(dims, top) == expected, (dims, top)
 
 
 def test_model_validation():
@@ -123,14 +171,14 @@ def test_d_squared_on_every_complex():
         for K in _all_complexes(n):
             seen += 1
             for dims in itertools.product((1, 2), repeat=n):
-                ok, witness = check_d_squared(_build_model(K, dims), 6)
+                ok, witness = check_d_squared(_build_model(dims, K.sorted_faces()), 6)
                 assert ok, (sorted(K.faces), dims, witness)
     assert seen == 125
 
 
 def test_orbit_ranks_match_every_block_on_every_complex(monkeypatch):
     # Ranks taken once per symmetry orbit against every block eliminated.
-    models = [_build_model(K, dims) for n in (2, 3, 4) for K in _all_complexes(n)
+    models = [_build_model(dims, K.sorted_faces()) for n in (2, 3, 4) for K in _all_complexes(n)
               for dims in itertools.product((1, 2), repeat=n)]
     assert len(models) == 1904
     reduced = [homology_series(m, 5) for m in models]
@@ -273,7 +321,7 @@ def test_coboundary_is_the_transpose_of_d_on_every_complex():
     for n in (2, 3, 4):
         for K in _all_complexes(n):
             for dims in itertools.product((1, 2), repeat=n):
-                _assert_coboundary_is_transpose(_build_model(K, dims), 5)
+                _assert_coboundary_is_transpose(_build_model(dims, K.sorted_faces()), 5)
                 seen += 1
     assert seen == 1904
 
@@ -415,18 +463,19 @@ def test_tails_are_held_only_until_their_last_reader(monkeypatch):
 
 def test_bounded_build_computes_d_only_below_the_bound(monkeypatch):
     # The CLI builds through D + 1, the only generators the homology reads;
-    # the degree counts still list every face of K.
+    # the degree counts, in closed form, still count every face of K.
     for build in (build_fat_wedge_model, build_product_model):
         full = build((1, 2, 1, 2))
-        bounded = build((1, 2, 1, 2), 8)
-        assert bounded == full.below(8)
-        assert all(bounded.differential[I] == full.differential[I] for I in bounded.generators)
-        assert bounded.generator_degree_counts() == full.generator_degree_counts()
+        for bound in (0, 1, 3, 5, 8):
+            bounded = build((1, 2, 1, 2), bound)
+            assert bounded == full.below(bound)
+            assert all(bounded.differential[I] == full.differential[I]
+                       for I in bounded.generators)
     calls = []
     monkeypatch.setattr(allday, "a_element", lambda I, dims: calls.append(I) or a_element(I, dims))
     model = build_product_model((1,) * 12, 3)
     assert len(calls) == 66 and len(model.generators) == 78
-    assert sum(model.generator_degree_counts().values()) == 4095
+    assert sum(generator_degree_counts((1,) * 12, top=True).values()) == 4095
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (1, 2, 1, 2), (2, 2, 2, 2)])
@@ -447,7 +496,7 @@ def test_complex_model_matches_the_sphere_presentation(fixtures_dir, name):
     K = parse_complex((fixtures_dir / f"{name}.sc").read_text())
     for dims in ((1,) * K.n, tuple(1 + i % 2 for i in range(K.n))):
         expected = graded_dimensions(build_sphere_presentation(K, dims), 6)
-        assert homology_series(_build_model(K, dims), 6) == expected, dims
+        assert homology_series(_build_model(dims, K.sorted_faces()), 6) == expected, dims
 
 
 def test_d_squared_detects_corrupted_sign(corrupted_model):

@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,6 +184,32 @@ def test_allday_failed_certificate_is_precondition_error(monkeypatch, capsys,
     assert code == 3
     assert captured.out == ""
     assert "does not square to zero, witness" in captured.err
+
+
+def test_allday_check_bubenik_refuses_two_spheres_before_building(capsys):
+    # The closed form's precondition is reported, not the word budget that
+    # the homology through degree 30 would exhaust first.
+    argv = ["allday", "--dims", "1,1", "--max-degree", "30", "--check-bubenik",
+            "--budget-words", "100000000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: closed form requires at least 3 spheres, got 2; "
+        "for n = 2 the loop homology is the free tensor algebra\n")
+
+
+@pytest.mark.parametrize("model", ["fat-wedge", "product"])
+def test_allday_builds_only_the_faces_it_reads(capsys, model):
+    # 30 vertices: the 2^30 faces of the simplex are counted in closed form,
+    # C(30, k) in degree 2k - 1 (the fat wedge has no top face, degree 59),
+    # and only the 465 generators of degree <= 3 are built.
+    assert main(["allday", "--dims", ",".join(["1"] * 30), "--model", model,
+                 "--max-degree", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = {2 * k - 1: comb(30, k) for k in range(1, 31 if model == "product" else 30)}
+    assert lines[0] == "generator degrees: " + " ".join(f"{d}:{c}" for d, c in counts.items())
+    assert lines[2] == "homology series (degrees 0..2): 1 30 465"
 
 
 def test_allday_product_model():

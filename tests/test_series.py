@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,8 +11,6 @@ from momentangle.series import (
     free_gc_series,
     geometric_series,
     series_div_exact,
-    shuffle_sign,
-    type2_shuffles,
 )
 
 
@@ -120,48 +117,3 @@ def test_div_is_inverse_of_mul(a_tail, b_tail):
     a = S([1] + a_tail)
     b = S([1] + b_tail)
     assert series_div_exact(a * b, b) == a.truncate(min(a.cutoff, b.cutoff))
-
-
-def test_type2_shuffles_structure():
-    pairs = type2_shuffles((1, 2, 3))
-    assert pairs == [((1,), (2, 3)), ((1, 2), (3,)), ((1, 3), (2,))]
-    for k in range(2, 7):
-        I = tuple(range(1, k + 1))
-        pairs = type2_shuffles(I)
-        assert len(pairs) == 2 ** (k - 1) - 1
-        for J, Jp in pairs:
-            assert J[0] == I[0] and Jp
-            assert tuple(sorted(J + Jp)) == I
-
-
-def test_type2_shuffles_rejects_short():
-    with pytest.raises(SeriesError):
-        type2_shuffles((1,))
-
-
-def _permutation_sign_oracle(I, J, Jp, z_degrees):
-    """Koszul sign of sorting the odd symbols of J + J' back to I's order."""
-    arrangement = list(J) + list(Jp)
-    sign = 0
-    for a, b in itertools.combinations(range(len(arrangement)), 2):
-        x, y = arrangement[a], arrangement[b]
-        if x > y and z_degrees[x] % 2 == 1 and z_degrees[y] % 2 == 1:
-            sign += 1
-    return sign % 2
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.lists(st.integers(min_value=1, max_value=3), min_size=6, max_size=6),
-)
-def test_shuffle_sign_matches_permutation_oracle(k, ms):
-    I = tuple(range(1, k + 1))
-    z = {i: ms[i - 1] + 1 for i in I}
-    for J, Jp in type2_shuffles(I):
-        assert shuffle_sign(I, J, Jp, z) == _permutation_sign_oracle(I, J, Jp, z)
-
-
-def test_shuffle_sign_rejects_non_shuffles():
-    with pytest.raises(SeriesError):
-        shuffle_sign((1, 2, 3), (2,), (1, 3), {1: 2, 2: 2, 3: 2})
