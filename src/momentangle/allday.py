@@ -74,10 +74,10 @@ class DGAModel:
     differential: dict = field(compare=False)
 
     def __post_init__(self):
-        # The degree parity of each generator, computed once.
-        object.__setattr__(
-            self, "_odd", {I: self.degree_of(I) % 2 == 1 for I in self.generators}
-        )
+        # The degree of each generator and its parity, computed once.
+        degree = {I: self.degree_of(I) for I in self.generators}
+        object.__setattr__(self, "_degree", degree)
+        object.__setattr__(self, "_odd", {I: d % 2 == 1 for I, d in degree.items()})
 
     def degree_of(self, I):
         return face_degree(I, self.dims)
@@ -181,10 +181,9 @@ def check_d_squared(model, max_degree):
     exercise the sign handling of the extension.  Returns (True, None) or
     (False, witness_word).
     """
-    low = [I for I in model.generators if model.degree_of(I) <= max_degree]
-    pairs = [(I, J) for I in low for J in low
-             if model.degree_of(I) + model.degree_of(J) <= max_degree]
-    for word in [(I,) for I in low] + pairs:
+    low = [(I, d) for I, d in model._degree.items() if d <= max_degree]
+    pairs = [(I, J) for I, dI in low for J, dJ in low if dI + dJ <= max_degree]
+    for word in [(I,) for I, _ in low] + pairs:
         dd = model.d_element(model.d_word(word))
         if not dd.is_zero():
             return False, min(dd, key=lambda w: (len(w), w))

@@ -37,7 +37,7 @@ from .presentations import (
     abelian_series,
     build_cp_presentation,
     build_sphere_presentation,
-    graded_dimensions,
+    hilbert_series,
     kernel_generator_series,
 )
 from .series import FactorizationError, SeriesError
@@ -169,7 +169,7 @@ def cmd_loop_homology(args):
     p = (build_cp_presentation(K) if args.target == "cp"
          else build_sphere_presentation(K, args.dims))
     D = args.max_degree
-    total = graded_dimensions(p, D, budget_words=args.budget_words)
+    total = hilbert_series(p, D, args.budget_words)
     lines = ["generators:"]
     for g in p.generators:
         lines.append(f"  {g.name} degree {g.degree}")

@@ -40,6 +40,7 @@ from .presentations import (
     bracket_lists,
     build_cp_presentation,
     build_sphere_presentation,
+    hilbert_series,
     kernel_generator_series,
     rewriting_system,
 )
@@ -233,11 +234,9 @@ def _decompose(K, target, dims, max_dim, budget_words):
     # The kernel series counts spheres of dimension d + 1 in degree d, so it
     # is needed through degree max_dim − 1; at max_dim 0 it runs to degree
     # 0, where it is zero.  It is counted under the word budget before part
-    # (b) lists its brackets, which are no more than the normal words.
+    # (b) lists its brackets, which number no more than the dimensions it counts.
     top = max(max_dim - 1, 0)
-    rs = rewriting_system(p, top, budget_words)
-    total = TruncatedSeries.from_coeffs(rs.series(), top)
-    g = kernel_generator_series(total, abelian_series(p, top))
+    g = kernel_generator_series(hilbert_series(p, top, budget_words), abelian_series(p, top))
 
     # Part (a): w_sigma per missing face; part (b): the brackets of each
     # missing face with ≥ 3 vertices.
@@ -258,7 +257,12 @@ def _decompose(K, target, dims, max_dim, budget_words):
     enum_counts = Counter(s.dimension for s in summands)
     ranks = defaultdict(lambda: (IncrementalRank(), {}))  # per dim: rank, {word: column}
     rejected = []
-    for sigma in (s for s in mfs if len(s) == 2):
+    pairs = [s for s in mfs if len(s) == 2]
+    # Only the brackets of part (c) are reduced, so only they need the
+    # completion, through the same degree as the series.
+    rs = (rewriting_system(p, top, budget_words)
+          if any(next(brackets(sigma), None) for sigma in pairs) else None)
+    for sigma in pairs:
         for js, dim, nf in _bracket_normal_forms(sigma, brackets(sigma), p, rs):
             label = WhiteheadLabel("iterated", sigma, js)
             if nf.is_zero():

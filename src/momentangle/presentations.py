@@ -5,11 +5,14 @@ complex, in two cases: the sphere-case (coordinate generator i in degree
 m_i) and the cp-case, which is the all-ones grading.  The target alone
 fixes the abelian part: the loop homology of CP^∞ is exterior on one class
 of degree 1, that of S^{m+1} is the polynomial algebra on one class of
-degree m, for every m.  Graded dimensions of the presented algebras are
-computed by degree-truncated rewriting, with linear algebra in the quotient
-(A_d from A_{<d}, never listing words) as an independent check of the
-completion; both routes read the one presentation.  The kernel-generator
-series is extracted from the factorization total = abelian · 1/(1−g).
+degree m, for every m.  Every relation is a square or a graded commutator
+of two generators, so the presented algebra is a graph product of
+one-generator algebras, and ``hilbert_series`` counts it by the clique sum
+of its commutation graph under the word budget.  Two independent routes
+check that count: normal words of a degree-truncated rewriting completion,
+and linear algebra in the quotient (A_d from A_{<d}, never listing words);
+all three read the one presentation.  The kernel-generator series is
+extracted from the factorization total = abelian · 1/(1−g).
 """
 
 from __future__ import annotations
@@ -150,6 +153,75 @@ def abelian_series(p, max_degree):
     """
     degrees = [g.degree for g in p.generators if g.label[0] == "coordinate"]
     return free_gc_series(degrees, p.target == "cp-case", max_degree)
+
+
+def hilbert_series(p, max_degree, budget_words=DEFAULT_BUDGET_WORDS):
+    """Dimensions of the presented algebra per degree ≤ ``max_degree``,
+    counted without a rewriting completion.
+
+    A relation x² makes x exterior, with series H_x = 1 + t^|x|; any other
+    x has H_x = 1/(1 − t^|x|).  A relation [x, y], the graded commutator of
+    two generators, makes them commute; any other relation raises
+    :class:`PresentationError`.  The algebra is then the graph product of
+    the one-generator algebras over the commutation graph, and
+    1/H = Σ_C Π_{x∈C} (1/H_x − 1) over its cliques C (Cartier–Foata).
+    Clique C, of weight w (its degrees summed), adds
+    (−1)^#C t^w Π_{x∈C exterior} 1/(1 + t^|x|), so degree d needs only the
+    cliques of weight ≤ d, and they are walked by weight.  Like
+    ``RewritingSystem.series``, it raises :class:`BudgetError` at the first
+    degree through which the dimensions sum to more than ``budget_words``.
+    """
+    index = {g.name: v for v, g in enumerate(p.generators)}
+    degree = [g.degree for g in p.generators]
+    exterior = set()
+    later = [set() for _ in degree]  # v -> the later generators that commute with v
+    for rel in p.relations:
+        word = next(iter(rel), ())
+        pair = [index.get(a) for a in word]
+        if len(pair) == 2 and None not in pair:
+            x, y = pair
+            if x == y and len(rel) == 1:
+                exterior.add(x)
+                continue
+            swap = -(-1) ** (degree[x] * degree[y])  # yx's coefficient over xy's
+            if x != y and len(rel) == 2 and rel.get(word[::-1]) == swap * rel[word]:
+                later[min(pair)].add(max(pair))
+                continue
+        raise PresentationError(f"relation {rel} is neither a square nor a commutator")
+
+    top = max_degree
+    # cliques[w]: (sign, sorted exterior degrees, later generators that
+    # commute with every letter) per clique of weight w.
+    cliques = [[] for _ in range(top + 1)]
+    cliques[0].append((1, (), set(range(len(degree)))))
+    quotients = {}  # exterior degrees -> coefficients of Π_a 1/(1 + t^a)
+    inverse = [0] * (top + 1)  # 1/H
+    h = []
+    total = 0
+    for d in range(top + 1):
+        grouped = Counter()
+        for sign, ext, _ in cliques[d]:
+            grouped[ext] += sign
+        for ext, c in grouped.items():
+            if ext not in quotients:
+                q = quotients[ext] = [1] + [0] * top
+                for a in ext:
+                    for e in range(a, top + 1):
+                        q[e] -= q[e - a]
+            for e, q in enumerate(quotients[ext][: top + 1 - d], d):
+                inverse[e] += c * q
+        h.append((d == 0) - sum(inverse[i] * h[d - i] for i in range(1, d + 1)))
+        total += h[d]
+        if total > budget_words:
+            raise BudgetError(d, f"normal-word budget {budget_words} exhausted")
+        for sign, ext, candidates in cliques[d]:
+            for v in candidates:
+                w = d + degree[v]
+                if w <= top:
+                    child = tuple(sorted(ext + (degree[v],))) if v in exterior else ext
+                    cliques[w].append((-sign, child, candidates & later[v]))
+        cliques[d] = None
+    return TruncatedSeries.from_coeffs(h, top)
 
 
 def bracket_lists(sigma, n, grading, max_dim, exterior):

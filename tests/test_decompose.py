@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,28 @@ def test_the_budgeted_count_runs_before_any_bracket_is_listed(monkeypatch):
     with pytest.raises(BudgetError, match="normal-word budget 10000 exhausted"):
         decompose_cp(K, budget_words=10_000)
     assert listed == []
+
+
+def test_skeleta_run_no_completion(monkeypatch, fixtures_dir):
+    # With no 2-vertex missing face, part (c) reduces no bracket, and the
+    # counts come from the clique formula, so no completion is built.
+    def refuse(*args):
+        raise AssertionError("rewriting completion built")
+
+    monkeypatch.setattr(decompose, "rewriting_system", refuse)
+    dec = decompose_cp(skeleton_complex(6, 3))
+    assert dec.counts() == {7: 15, 8: 30, 9: 15}
+    assert dec.routes == (
+        (7, (("enumeration", 15), ("series", 15), ("porter", 15))),
+        (8, (("enumeration", 30), ("series", 30), ("porter", 24))),
+        (9, (("enumeration", 15), ("series", 15), ("porter", 10))),
+    )
+    assert dec.rejected == () and not dec.truncated
+    dec = consistency_report(skeleton_complex(4, 2))
+    golden = json.loads((fixtures_dir.parent / "golden" / "check_skel42.json").read_text())
+    assert [(d, dict(routes)) for d, routes in dec.routes] == [
+        (row["dimension"], row["routes"]) for row in golden["table"]]
+    assert dec.counts() == {5: 4, 6: 4}
 
 
 def test_skeleton42_flag_pin():
@@ -394,8 +417,6 @@ def test_generator_order_changes_no_decomposition(K1, K3, fixtures_dir, monkeypa
 
 
 def test_json_schema_and_determinism(K1):
-    import json
-
     a = decompose_cp(K1).to_json_dict(K1)
     b = decompose_cp(K1).to_json_dict(K1)
     assert json.dumps(a, sort_keys=False) == json.dumps(b, sort_keys=False)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -9,6 +10,7 @@ from momentangle.complexes import (
     ComplexError,
     SimplicialComplex,
     face_degree,
+    is_mf_complex,
     missing_faces,
     parse_complex,
     skeleton_complex,
@@ -21,7 +23,9 @@ from momentangle.presentations import (
     bracket_lists,
     build_cp_presentation,
     build_sphere_presentation,
+    PresentationError,
     graded_dimensions,
+    hilbert_series,
     kernel_generator_series,
     rewriting_system,
 )
@@ -32,6 +36,7 @@ from momentangle.series import (
     geometric_series,
 )
 from momentangle.tensor import BudgetError, TensorElement, commutator
+from test_allday import _all_complexes
 from test_decompose import _relabelings
 
 
@@ -131,6 +136,103 @@ def test_oracle_equivalence(K1, K3, triangle_boundary, fixtures_dir):
         rw = graded_dimensions(p, bound, method="rewriting")
         lin = graded_dimensions(p, bound, method="linear")
         assert rw == lin, p.target
+
+
+def _antichains(subsets):
+    """Every antichain among ``subsets``, a list of vertex tuples."""
+    if not subsets:
+        yield ()
+        return
+    first, rest = subsets[0], subsets[1:]
+    yield from _antichains(rest)
+    apart = [f for f in rest if not (set(f) <= set(first) or set(first) <= set(f))]
+    for chain in _antichains(apart):
+        yield (first,) + chain
+
+
+def _census():
+    """One MF-complex per relabeling class on 2..5 vertices, built from every
+    antichain of maximal faces that covers the vertices."""
+    census = []
+    for n in range(2, 6):
+        vertices = range(1, n + 1)
+        subsets = [f for k in vertices for f in itertools.combinations(vertices, k)]
+        seen = set()
+        for chain in _antichains(subsets):
+            if {v for f in chain for v in f} != set(vertices):
+                continue
+            K = SimplicialComplex.from_faces(n, chain)
+            if not is_mf_complex(K)[0]:
+                continue
+            key = min(tuple(sorted(tuple(sorted(perm[v - 1] for v in f)) for f in chain))
+                      for perm in itertools.permutations(vertices))
+            if key not in seen:
+                seen.add(key)
+                census.append(K)
+    return census
+
+
+def test_hilbert_series_matches_the_completion():
+    # Every labeled complex on at most 4 vertices, then the census.
+    census = _census()
+    assert Counter(K.n for K in census) == {2: 1, 3: 2, 4: 5, 5: 20}
+    complexes = [K for n in (1, 2, 3, 4) for K in _all_complexes(n)] + census
+    assert len(complexes) == 126 + 28
+    for K in complexes:
+        alternating = tuple(1 + i % 2 for i in range(K.n))
+        for p, D in ((build_cp_presentation(K), 8),
+                     (build_sphere_presentation(K, (1,) * K.n), 7),
+                     (build_sphere_presentation(K, alternating), 8)):
+            expected = tuple(rewriting_system(p, D).series())
+            assert hilbert_series(p, D).coeffs == expected, (sorted(K.faces), p.target)
+
+
+def test_hilbert_series_matches_the_linear_oracle(K1, K2, K3, fixtures_dir):
+    wheel = parse_complex((fixtures_dir / "wheel.sc").read_text())
+    for K in (K1, K2, K3, wheel, skeleton_complex(4, 2)):
+        p = build_cp_presentation(K)
+        assert hilbert_series(p, 7) == graded_dimensions(p, 7, method="linear")
+
+
+def test_hilbert_series_skeleton_85():
+    # The completion's count of skel(8,5), whose 70 missing faces have 4 vertices.
+    p = build_cp_presentation(skeleton_complex(8, 5))
+    assert hilbert_series(p, 10).coeffs == (
+        1, 8, 28, 56, 70, 56, 98, 848, 4621, 15400, 34650)
+
+
+@pytest.mark.parametrize("relation", [
+    {("a", "b"): 1, ("b", "a"): -2},
+    {("a", "b"): 1, ("b", "a"): -1, ("a", "a"): 1},
+])
+def test_hilbert_series_refuses_other_relations(relation):
+    gens = (Generator("a", 2, ("coordinate", 1)), Generator("b", 2, ("coordinate", 2)))
+    p = Presentation(gens, (TensorElement(relation),), "sphere-case")
+    with pytest.raises(PresentationError, match="neither a square nor a commutator"):
+        hilbert_series(p, 4)
+
+
+def _outcome(count):
+    """The counts, or the degree and message of the BudgetError raised."""
+    try:
+        return tuple(count())
+    except BudgetError as exc:
+        return exc.degree, str(exc)
+
+
+def test_hilbert_series_budget_matches_the_completion(K1, K3):
+    # Budgets of c_d − 1, c_d and c_d + 1, c_d the dimensions through degree d:
+    # the count stops where the normal-word count stops, with its message.
+    triangle_isolated = SimplicialComplex.from_faces(11, [(1, 2), (1, 3), (2, 3)])
+    for K, D in ((K1, 6), (K3, 6), (skeleton_complex(6, 3), 6), (triangle_isolated, 4)):
+        p = build_cp_presentation(K)
+        for d, c_d in enumerate(itertools.accumulate(hilbert_series(p, D).coeffs)):
+            for budget in (c_d - 1, c_d, c_d + 1):
+                completion = _outcome(lambda: rewriting_system(p, D, budget).series())
+                assert _outcome(lambda: hilbert_series(p, D, budget).coeffs) == completion
+            with pytest.raises(BudgetError) as short:
+                hilbert_series(p, D, c_d - 1)
+            assert short.value.degree <= d
 
 
 def test_linear_oracle_K3_within_the_default_budget(K3):
